@@ -50,7 +50,6 @@ from .simulator import (
     Statevector,
     fold_circuit,
     run_ideal,
-    run_trajectory,
     sample_counts,
     zero_state,
 )

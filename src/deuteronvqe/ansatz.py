@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuits import Gate, LogicalCircuit
+from .circuits import Gate, LogicalCircuit, apply_matrix, logical_gate_matrix
 from .hamiltonian import OscillatorHamiltonian
 from .refdata import LANDSCAPE_N4
 
@@ -137,23 +137,12 @@ def build_ansatz_circuit(
 
 def statevector_of_logical(circ: LogicalCircuit) -> np.ndarray:
     """Apply the logical circuit to |0...0>; qubit 0 is the most significant bit."""
-    from .circuits import logical_gate_matrix
-
     n = circ.n_qubits
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
     for g in circ.gates:
-        m = logical_gate_matrix(g)
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            state = np.moveaxis(np.moveaxis(state, q, -1) @ m.T, -1, q)
-        else:
-            qa, qb = g.qubits
-            t = np.moveaxis(state, (qa, qb), (-2, -1))
-            shape = t.shape
-            t = t.reshape(-1, 4) @ m.T
-            state = np.moveaxis(t.reshape(shape), (-2, -1), (qa, qb))
-    return state.reshape(-1)
+        state = apply_matrix(state, logical_gate_matrix(g), g.qubits, n)
+    return state
 
 
 def one_hot_embedding(amps: np.ndarray) -> np.ndarray:

@@ -17,6 +17,10 @@ prepared amplitudes); the native ``ry`` uses the half-angle convention above.
 
 Bit/state ordering: qubit 0 is the first character of a bit string and the
 most significant bit of a basis-state index.
+
+`PAULI` is the package's one table of Pauli matrices and `apply_matrix` its
+one gate kernel; every statevector, unitary and readout-tensor update in the
+package goes through it.
 """
 from __future__ import annotations
 
@@ -30,10 +34,29 @@ LOGICAL_KINDS = {"prep_excite": 1, "ry": 1, "cry": 2, "cx": 2}
 NATIVE_KINDS = {"rx": 1, "ry": 1, "rz": 1, "xx": 2}
 _ANGLED_KINDS = {"ry", "cry", "rx", "rz", "xx"}
 
-_I2 = np.eye(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def apply_matrix(states: np.ndarray, m: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Apply a k-qubit matrix to the listed qubits of each row of a (B, 2**n) array.
+
+    `m` is 2**k x 2**k and acts on `qubits` in the order listed (the first
+    listed qubit is the most significant bit of its index).  A single
+    2**n vector is accepted too; the result has the shape of `states`.
+    """
+    k = len(qubits)
+    axes = [1 + q for q in qubits]
+    t = states.reshape((-1,) + (2,) * n)
+    # contracting the state first keeps the arithmetic of a row-by-m.T product:
+    # results are bit-identical to applying m on a reshaped (rows, 2**k) view
+    t = np.tensordot(t, m.reshape((2,) * (2 * k)), axes=(axes, list(range(k, 2 * k))))
+    # tensordot leaves the k output axes last; put them back in place
+    return np.moveaxis(t, list(range(-k, 0)), axes).reshape(states.shape)
 
 
 @dataclass(frozen=True)
@@ -139,19 +162,19 @@ def _circuit_from_json(text: str):
 
 
 def rx_matrix(theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _X
+    return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * PAULI["X"]
 
 
 def ry_matrix(theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Y
+    return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * PAULI["Y"]
 
 
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Z
+    return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * PAULI["Z"]
 
 
 def xx_matrix(chi: float) -> np.ndarray:
-    return np.cos(chi / 2) * np.eye(4) - 1j * np.sin(chi / 2) * np.kron(_X, _X)
+    return np.cos(chi / 2) * np.eye(4) - 1j * np.sin(chi / 2) * np.kron(PAULI["X"], PAULI["X"])
 
 
 def native_gate_matrix(gate: Gate) -> np.ndarray:
@@ -172,7 +195,7 @@ def logical_gate_matrix(gate: Gate) -> np.ndarray:
     """Matrix of a logical gate; controlled gates are ordered (control, target)."""
     k = gate.kind
     if k == "prep_excite":
-        return _X.copy()
+        return PAULI["X"].copy()
     if k == "ry":
         # full-angle convention: exp(-i*angle*Y)
         return ry_matrix(2 * gate.angle)
@@ -182,6 +205,6 @@ def logical_gate_matrix(gate: Gate) -> np.ndarray:
         return m
     if k == "cx":
         m = np.eye(4, dtype=complex)
-        m[2:, 2:] = _X
+        m[2:, 2:] = PAULI["X"]
         return m
     raise ValueError(f"not a logical gate kind: {gate.kind!r}")

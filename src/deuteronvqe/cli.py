@@ -94,8 +94,11 @@ def _out_dir(args) -> Path:
 
 
 def _noise_from_args(args, n_qubits: int) -> NoiseModel:
-    return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
-                                   readout_eps=args.readout_eps)
+    try:
+        return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
+                                       readout_eps=args.readout_eps)
+    except ValueError as exc:
+        raise CliError(f"--p1/--p2/--readout-eps: {exc}", EXIT_USAGE)
 
 
 def _run_config(args, lambdas=None) -> RunConfig:
@@ -136,12 +139,11 @@ def cmd_ham(args) -> int:
     files = {"oscillator": out / f"h{args.n}_oscillator.json"}
     _write(files["oscillator"], h.to_json())
     print(f"oscillator matrix ({h.dim}x{h.dim}) -> {files['oscillator']}")
-    if args.n >= 1:
-        pauli = jordan_wigner(h)
-        files["pauli"] = out / f"h{args.n}_pauli.json"
-        _write(files["pauli"], pauli.to_json())
-        print(f"qubit hamiltonian ({len(pauli.terms)} terms) -> {files['pauli']}")
-        print(f"ground energy: {exact_ground_energy(h):.6f} MeV")
+    pauli = jordan_wigner(h)
+    files["pauli"] = out / f"h{args.n}_pauli.json"
+    _write(files["pauli"], pauli.to_json())
+    print(f"qubit hamiltonian ({len(pauli.terms)} terms) -> {files['pauli']}")
+    print(f"ground energy: {exact_ground_energy(h):.6f} MeV")
     _write(out / f"h{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
     return 0
 
@@ -448,7 +450,12 @@ def _apply_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[
         raise CliError(f"config {path} must be a flat JSON object", EXIT_USAGE)
     command = argv[0]
     if command in commands:
-        commands[command].set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
+        values = {k.replace("-", "_"): v for k, v in values.items()}
+        known = {a.dest for a in commands[command]._actions} - {"help"} | {"command"}
+        unknown = sorted(set(values) - known)
+        if unknown:
+            raise CliError(f"config {path}: unknown key(s) {', '.join(unknown)}", EXIT_USAGE)
+        commands[command].set_defaults(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,6 +26,7 @@ from .circuits import (
     Gate,
     LogicalCircuit,
     NativeCircuit,
+    apply_matrix,
     logical_gate_matrix,
     native_gate_matrix,
 )
@@ -36,29 +37,17 @@ PHASE_TOLERANCE = 1e-9
 _TWO_PI = 2 * math.pi
 
 
-def _embed(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Expand a 1- or 2-qubit matrix to the full 2^n space (qubit 0 = MSB)."""
-    k = len(qubits)
-    rest = n - k
-    full = np.kron(matrix, np.eye(2**rest, dtype=complex))
-    # full acts on (qubits..., others...); permute axes back to 0..n-1
-    order = list(qubits) + [q for q in range(n) if q not in qubits]
-    perm = [order.index(q) for q in range(n)]
-    t = full.reshape((2,) * (2 * n))
-    t = np.transpose(t, perm + [n + p for p in perm])
-    return t.reshape(2**n, 2**n)
-
-
 def unitary_of(circuit: LogicalCircuit | NativeCircuit) -> np.ndarray:
     """Full unitary of a circuit; memory-guarded to small qubit counts."""
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary_of supports at most {MAX_UNITARY_QUBITS} qubits, got {n}")
     matrix_of = native_gate_matrix if isinstance(circuit, NativeCircuit) else logical_gate_matrix
-    u = np.eye(2**n, dtype=complex)
+    # row i of the batch evolves basis state i, i.e. becomes column i of U
+    rows = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        u = _embed(matrix_of(g), g.qubits, n) @ u
-    return u
+        rows = apply_matrix(rows, matrix_of(g), g.qubits, n)
+    return rows.T
 
 
 def unitary_equivalent(u: np.ndarray, v: np.ndarray, tol: float = PHASE_TOLERANCE) -> bool:
@@ -202,7 +191,7 @@ def gate_identity_report() -> list[dict]:
     worst = 0.0
     for th in thetas:
         lhs = (logical_unitary([Gate("cx", (0, 1))], 2)
-               @ _embed(native_gate_matrix(Gate("ry", (1,), th)), (1,), 2)
+               @ fragment_unitary([Gate("ry", (1,), th)], 2)
                @ logical_unitary([Gate("cx", (0, 1))], 2))
         rhs = fragment_unitary(decompose_cx_ry_cx(0, 1, th), 2)
         worst = max(worst, 1 - abs(np.trace(lhs.conj().T @ rhs)) / 4)

@@ -32,7 +32,7 @@ from .ansatz import (
     energy_expectation_exact,
     optimal_parameters,
 )
-from .circuits import NativeCircuit
+from .circuits import PAULI, NativeCircuit, apply_matrix
 from .compiler import optimize_native, transpile
 from .estimator import (
     ZnePoint,
@@ -41,6 +41,7 @@ from .estimator import (
     basis_rotation_circuit,
     energy_estimate,
     measurement_settings,
+    polynomial_fit,
     richardson_extrapolate,
     spam_correct,
     term_expectation,
@@ -127,18 +128,11 @@ def _child_seed(seed: int, m: int, basis_index: int) -> int:
 
 
 def _exact_word_expectation(state: Statevector, word: str) -> float:
-    amps = state.amplitudes.reshape((2,) * state.n_qubits)
-    mats = {
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    t = amps
+    t = state.amplitudes
     for q, letter in enumerate(word):
-        if letter == "I":
-            continue
-        t = np.moveaxis(np.moveaxis(t, q, -1) @ mats[letter].T, -1, q)
-    return float(np.real(np.vdot(amps, t)))
+        if letter != "I":
+            t = apply_matrix(t, PAULI[letter], (q,), state.n_qubits)
+    return float(np.real(np.vdot(state.amplitudes, t)))
 
 
 def prepared_native_circuit(cfg: RunConfig, params: HypersphericalParams) -> NativeCircuit:
@@ -372,19 +366,8 @@ def fit_quadratic_minimum(points, weighted: bool = True) -> tuple[float, float, 
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"quadratic fit needs at least 3 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    s = np.array([p[2] for p in pts], dtype=float)
-    use_weights = weighted and np.all(s > 0)
-    if len(pts) == 3:
-        v = np.vander(x, 3)
-        coef = np.linalg.solve(v, y)
-        vinv = np.linalg.inv(v)
-        cov = vinv @ np.diag(np.where(s > 0, s, 0.0) ** 2) @ vinv.T
-    elif use_weights:
-        coef, cov = np.polyfit(x, y, 2, w=1.0 / s, cov="unscaled")
-    else:
-        coef, cov = np.polyfit(x, y, 2, cov=True)
+    x, y, s = zip(*pts)
+    coef, cov, _ = polynomial_fit(x, y, s, 2, weighted)
     a, b, c = (float(t) for t in coef)
     if a <= 0:
         raise ConcaveFitError(f"leading coefficient {a} is not positive")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Gate, NativeCircuit
+from .circuits import Gate, NativeCircuit, apply_matrix
 from .hamiltonian import PauliHamiltonian
 
 BASIS_LABELS = ("z", "x", "y")
@@ -164,10 +164,10 @@ def _apply_per_qubit(counts: dict[str, float], mats: list[np.ndarray]) -> dict[s
     t = np.zeros((2,) * n)
     for bits, c in counts.items():
         t[tuple(int(b) for b in bits)] += c
-    for q in range(n):
-        # contract axis q: out[..., j] = sum_i t[..., i] * m[i, j]
-        t = np.moveaxis(np.moveaxis(t, q, -1) @ mats[q], -1, q)
     flat = t.reshape(-1)
+    for q in range(n):
+        # out[..., j] = sum_i t[..., i] * m[i, j], i.e. m^T acting on qubit q
+        flat = apply_matrix(flat, mats[q].T, (q,), n)
     out = {}
     for idx, val in enumerate(flat):
         if val != 0.0:
@@ -192,6 +192,29 @@ def energy_estimate(h: PauliHamiltonian,
     return energy, math.sqrt(variance)
 
 
+def polynomial_fit(x, y, sigma, deg: int,
+                   weighted: bool = True) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Least-squares polynomial fit of y against x with its covariance.
+
+    Returns (coefficients, highest power first; covariance; whether the
+    fit used weights 1/sigma^2).  Weights apply only when `weighted` and
+    every sigma is positive.  With exactly deg + 1 points polyfit cannot
+    estimate a covariance, so the point sigmas are propagated through the
+    Vandermonde solve instead.
+    """
+    x, y, sigma = (np.asarray(a, dtype=float) for a in (x, y, sigma))
+    use_weights = bool(weighted and np.all(sigma > 0))
+    if len(x) == deg + 1:
+        v = np.vander(x, deg + 1)
+        coef = np.linalg.solve(v, y)
+        vinv = np.linalg.inv(v)
+        cov = vinv @ np.diag(np.where(sigma > 0, sigma, 0.0) ** 2) @ vinv.T
+    else:
+        coef, cov = np.polyfit(x, y, deg, w=1.0 / sigma if use_weights else None,
+                               cov="unscaled" if use_weights else True)
+    return coef, cov, use_weights
+
+
 def richardson_extrapolate(series: ZneSeries, kind: str = "linear",
                            weighted: bool = True) -> ZneResult:
     """Weighted polynomial fit of value against r, evaluated at r = 0.
@@ -205,22 +228,9 @@ def richardson_extrapolate(series: ZneSeries, kind: str = "linear",
     pts = series.points
     if len(pts) < deg + 1:
         raise ValueError(f"{kind} fit needs at least {deg + 1} points, got {len(pts)}")
-    r = np.array([p.r for p in pts], dtype=float)
-    y = np.array([p.value for p in pts])
-    s = np.array([p.sigma for p in pts])
-    use_weights = weighted and np.all(s > 0)
-    if len(pts) == deg + 1:
-        # exactly determined: polyfit cannot produce a covariance estimate,
-        # so propagate the point sigmas through the Vandermonde solve
-        v = np.vander(r, deg + 1)
-        coef = np.linalg.solve(v, y)
-        vinv = np.linalg.inv(v)
-        cov = vinv @ np.diag(np.where(s > 0, s, 0.0) ** 2) @ vinv.T
-    elif use_weights:
-        coef, cov = np.polyfit(r, y, deg, w=1.0 / s, cov="unscaled")
-    else:
-        coef, cov = np.polyfit(r, y, deg, cov=True)
+    coef, cov, use_weights = polynomial_fit([p.r for p in pts], [p.value for p in pts],
+                                            [p.sigma for p in pts], deg, weighted)
     intercept = float(coef[-1])
     slope = float(coef[-2])
     sigma = float(np.sqrt(max(0.0, cov[-1, -1])))
-    return ZneResult(intercept, sigma, slope, kind, weighted=bool(use_weights))
+    return ZneResult(intercept, sigma, slope, kind, weighted=use_weights)

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .circuits import PAULI
+
 DEFAULT_HBAR_OMEGA = 7.0
 DEFAULT_V0 = -5.68658
 
@@ -118,13 +120,10 @@ def build_oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
     return OscillatorHamiltonian(h)
 
 
-PAULI_LETTERS = "IXYZ"
-
-
 def _check_word(word: str, n_qubits: int):
     if len(word) != n_qubits:
         raise ValueError(f"word {word!r} has length {len(word)}, expected {n_qubits}")
-    bad = set(word) - set(PAULI_LETTERS)
+    bad = set(word) - set(PAULI)
     if bad:
         raise ValueError(f"invalid Pauli letters {bad} in {word!r}")
 
@@ -156,18 +155,12 @@ class PauliHamiltonian:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^N x 2^N matrix (qubit 0 = most significant bit)."""
-        single = {
-            "I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]]),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
         dim = 2**self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, word in self.terms:
             m = np.array([[1.0]], dtype=complex)
             for letter in word:
-                m = np.kron(m, single[letter])
+                m = np.kron(m, PAULI[letter])
             out += coeff * m
         return out
 

@@ -20,18 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Gate, NativeCircuit, native_gate_matrix
+from .circuits import PAULI, Gate, NativeCircuit, apply_matrix, native_gate_matrix
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I = np.eye(2, dtype=complex)
-
-PAULIS_1Q = (_X, _Y, _Z)
+PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
-PAULIS_2Q = tuple(
-    np.kron(a, b) for a in (_I, _X, _Y, _Z) for b in (_I, _X, _Y, _Z)
-)[1:]
+PAULIS_2Q = tuple(np.kron(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ")[1:]
 
 # internal stream tags so batched runs and measurement draws never collide
 _STREAM_TRAJECTORY = 0x7261
@@ -66,8 +59,10 @@ class NoiseModel:
         mats = []
         for m in self.readout:
             m = np.asarray(m, dtype=float)
-            if m.shape != (2, 2) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
-                raise ValueError("readout confusion matrices must be row-stochastic 2x2")
+            if (m.shape != (2, 2) or np.any((m < 0) | (m > 1))
+                    or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9)):
+                raise ValueError("readout confusion matrices must be 2x2, with entries in [0, 1] "
+                                 "and rows summing to 1")
             mats.append(m)
         self.readout = tuple(mats)
 
@@ -124,36 +119,14 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(n_qubits)
 
 
-def _apply_1q(batch: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = batch.reshape((-1,) + (2,) * n)
-    t = np.moveaxis(t, 1 + q, -1) @ m.T
-    return np.moveaxis(t, -1, 1 + q).reshape(batch.shape[0], -1)
-
-
-def _apply_2q(batch: np.ndarray, m: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
-    t = batch.reshape((-1,) + (2,) * n)
-    t = np.moveaxis(t, (1 + qa, 1 + qb), (-2, -1))
-    shape = t.shape
-    t = t.reshape(-1, 4) @ m.T
-    t = np.moveaxis(t.reshape(shape), (-2, -1), (1 + qa, 1 + qb))
-    return t.reshape(batch.shape[0], -1)
-
-
-def _apply_gate_batch(batch: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    m = native_gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        return _apply_1q(batch, m, gate.qubits[0], n)
-    return _apply_2q(batch, m, gate.qubits[0], gate.qubits[1], n)
-
-
 def run_ideal(circuit: NativeCircuit, initial: Statevector) -> Statevector:
     """Exact unitary application, gate by gate."""
     if initial.n_qubits != circuit.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    batch = initial.amplitudes[None, :].copy()
+    amps = initial.amplitudes.copy()
     for g in circuit.gates:
-        batch = _apply_gate_batch(batch, g, circuit.n_qubits)
-    return Statevector(circuit.n_qubits, batch[0])
+        amps = apply_matrix(amps, native_gate_matrix(g), g.qubits, circuit.n_qubits)
+    return Statevector(circuit.n_qubits, amps)
 
 
 def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
@@ -194,7 +167,7 @@ def _trajectory_batch(circuit: NativeCircuit, initial: Statevector, noise: Noise
     batch = np.broadcast_to(initial.amplitudes, (n_traj, 2**n)).copy()
     k = 0
     for g in circuit.gates:
-        batch = _apply_gate_batch(batch, g, n)
+        batch = apply_matrix(batch, native_gate_matrix(g), g.qubits, n)
         two_qubit = g.kind == "xx"
         rate = noise.p2 if two_qubit else noise.p1
         if rate <= 0:
@@ -208,21 +181,13 @@ def _trajectory_batch(circuit: NativeCircuit, initial: Statevector, noise: Noise
             for c in range(15):
                 mask = hit & (choice == c)
                 if mask.any():
-                    batch[mask] = _apply_2q(batch[mask], PAULIS_2Q[c], g.qubits[0], g.qubits[1], n)
+                    batch[mask] = apply_matrix(batch[mask], PAULIS_2Q[c], g.qubits, n)
         else:
             for c in range(3):
                 mask = hit & (choice % 3 == c)
                 if mask.any():
-                    batch[mask] = _apply_1q(batch[mask], PAULIS_1Q[c], g.qubits[0], n)
+                    batch[mask] = apply_matrix(batch[mask], PAULIS_1Q[c], g.qubits, n)
     return batch
-
-
-def run_trajectory(circuit: NativeCircuit, initial: Statevector, noise: NoiseModel,
-                   seed: int) -> Statevector:
-    """One stochastic-Pauli noise realization; deterministic in the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_TRAJECTORY]))
-    batch = _trajectory_batch(circuit, initial, noise, 1, rng)
-    return Statevector(circuit.n_qubits, batch[0])
 
 
 def run_trajectories(circuit: NativeCircuit, initial: Statevector, noise: NoiseModel,

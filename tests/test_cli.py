@@ -51,6 +51,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--p1", "--p2", "--readout-eps"])
+def test_out_of_range_noise_rate_is_usage_error(tmp_path, capsys, flag):
+    assert run_cli("vqe", "--n", "2", "--shots", "0", flag, "2",
+                   "--out", str(tmp_path)) == 2
+    assert "in [0, 1]" in capsys.readouterr().err
+
+
 def test_ansatz_and_transpile_pipeline(tmp_path, capsys):
     assert run_cli("ansatz", "--n", "4", "--lambdas", "0.858,0.958,0.758",
                    "--out", str(tmp_path)) == 0
@@ -151,6 +158,14 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 def test_config_file_io_error(tmp_path, capsys):
     assert run_cli("vqe", "--config", str(tmp_path / "missing.json")) == 4
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "shotz": 0, "out": str(tmp_path)}))
+    assert run_cli("vqe", "--config", str(cfg)) == 2
+    assert "shotz" in capsys.readouterr().err
+    assert not (tmp_path / "vqe_n2_summary.json").exists()
 
 
 def test_config_file_parse_error(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import _full_op
+
 from deuteronvqe.ansatz import HypersphericalParams, build_ansatz_circuit
-from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit
+from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit, apply_matrix
 from deuteronvqe.compiler import (
     decompose_cnot,
     decompose_cry,
@@ -24,6 +27,29 @@ CX_MATRIX = np.array(
 
 def _native(n, gates):
     return NativeCircuit(n, list(gates))
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_apply_matrix_matches_full_operator(n, rows, dtype):
+    # every qubit and every ordered pair (qa > qb included); rows=None is a
+    # single 2**n vector, float is the real matrices of readout inversion
+    rng = np.random.default_rng(100 * n + (rows or 0))
+    shape = (2**n,) if rows is None else (rows, 2**n)
+
+    def draw(*dims):
+        x = rng.normal(size=dims)
+        return x + 1j * rng.normal(size=dims) if dtype is complex else x
+
+    targets = [(q,) for q in range(n)] + list(itertools.permutations(range(n), 2))
+    for qubits in targets:
+        m = draw(2 ** len(qubits), 2 ** len(qubits))
+        states = draw(*shape)
+        out = apply_matrix(states, m, qubits, n)
+        assert out.shape == states.shape and out.dtype == np.dtype(dtype)
+        expected = states @ _full_op(m, qubits, n).T
+        assert np.allclose(out, expected, atol=1e-12), qubits
 
 
 def test_unitary_of_empty_circuit():

@@ -17,7 +17,6 @@ from deuteronvqe.simulator import (
     fold_circuit,
     run_ideal,
     run_trajectories,
-    run_trajectory,
     sample_counts,
     sample_shots_noisy,
     zero_state,
@@ -106,16 +105,16 @@ def test_trajectory_zero_noise_equals_ideal():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
     noise = NoiseModel(0.0, 0.0)
     ideal = run_ideal(circ, zero_state(2))
-    traj = run_trajectory(circ, zero_state(2), noise, seed=9)
-    assert np.allclose(ideal.amplitudes, traj.amplitudes, atol=1e-12)
+    traj = run_trajectories(circ, zero_state(2), noise, 1, seed=9)[0]
+    assert np.allclose(ideal.amplitudes, traj, atol=1e-12)
 
 
 def test_trajectory_deterministic_in_seed():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)] * 3)
     noise = NoiseModel(0.2, 0.3)
-    a = run_trajectory(circ, zero_state(2), noise, seed=123)
-    b = run_trajectory(circ, zero_state(2), noise, seed=123)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    a = run_trajectories(circ, zero_state(2), noise, 1, seed=123)[0]
+    b = run_trajectories(circ, zero_state(2), noise, 1, seed=123)[0]
+    assert np.array_equal(a, b)
     batch1 = run_trajectories(circ, zero_state(2), noise, 64, seed=5)
     batch2 = run_trajectories(circ, zero_state(2), noise, 64, seed=5)
     assert np.array_equal(batch1, batch2)
@@ -212,6 +211,9 @@ def test_noise_model_validation():
         NoiseModel(p1=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(readout=(np.array([[0.5, 0.6], [0.4, 0.6]]),))
+    with pytest.raises(ValueError):
+        # rows sum to one, but the entries are not probabilities
+        NoiseModel.ion_defaults(2, readout_eps=2.0)
     model = NoiseModel.ion_defaults(3)
     assert model.p1 == 0.005 and model.p2 == 0.0075
     assert np.allclose(model.readout[0], flip_matrix(0.0074))

@@ -49,8 +49,9 @@ from .simulator import (
     NoiseModel,
     Statevector,
     fold_circuit,
+    run_density,
     run_ideal,
-    sample_counts,
+    sample_shots_noisy,
     zero_state,
 )
 

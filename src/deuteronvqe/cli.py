@@ -42,11 +42,8 @@ from .simulator import (
     FoldSpec,
     NoiseModel,
     fold_circuit,
-    run_ideal,
-    sample_counts,
     sample_shots_noisy,
     counts_to_json_dict,
-    zero_state,
 )
 
 EXIT_USAGE = 2
@@ -94,11 +91,19 @@ def _out_dir(args) -> Path:
 
 
 def _noise_from_args(args, n_qubits: int) -> NoiseModel:
-    try:
-        return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
-                                       readout_eps=args.readout_eps)
-    except ValueError as exc:
-        raise CliError(f"--p1/--p2/--readout-eps: {exc}", EXIT_USAGE)
+    return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
+                                   readout_eps=args.readout_eps)
+
+
+def _check_common(args):
+    """Range checks on the shared flags, set on the command line or by --config alike."""
+    for dest in ("p1", "p2", "readout_eps"):
+        value = getattr(args, dest)
+        if not (type(value) in (int, float) and 0 <= value <= 1):
+            raise CliError(f"--{dest.replace('_', '-')} must be in [0, 1], got {value!r}", EXIT_USAGE)
+    low = 1 if args.command == "simulate" else 0
+    if not (type(args.shots) is int and args.shots >= low):
+        raise CliError(f"{args.command} needs --shots >= {low}, got {args.shots!r}", EXIT_USAGE)
 
 
 def _run_config(args, lambdas=None) -> RunConfig:
@@ -208,13 +213,7 @@ def cmd_simulate(args) -> int:
     folded = fold_circuit(native, FoldSpec(args.fold_m))
     noise = _noise_from_args(args, n)
     rotations = basis_rotation_circuit(args.basis, n)
-    if args.shots == 0:
-        raise CliError("simulate needs --shots >= 1", EXIT_USAGE)
-    if noise.p1 == 0 and noise.p2 == 0:
-        state = run_ideal(folded, zero_state(n))
-        counts = sample_counts(state, rotations, args.shots, noise.readout, args.seed)
-    else:
-        counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
+    counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
     record = counts_to_json_dict(counts, args.shots, args.seed, 2 * args.fold_m + 1)
     out = _out_dir(args)
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
@@ -464,6 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
+        _check_common(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

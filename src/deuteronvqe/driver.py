@@ -1,9 +1,9 @@
 """End-to-end runs: noisy ZNE pipeline, parameter optimization, scans, reports.
 
 One evaluation of the pipeline at fixed parameters means: build the ansatz
-circuit, lower it to native gates, fold it at each requested level, collect
-per-setting shot histograms with a fresh noise trajectory per shot, invert
-readout confusion, form the energy with binomial errors, and extrapolate the
+circuit, lower it to native gates, fold it at each requested level, draw
+per-setting shot histograms from the exact noise channel, invert readout
+confusion, form the energy with binomial errors, and extrapolate the
 (r, energy) series to r = 0.  With ``shots = 0`` every sampling stage is
 replaced by exact expectation values on the ideal statevector, and the
 pipeline reproduces the analytic ansatz energy.

@@ -163,6 +163,8 @@ def _apply_per_qubit(counts: dict[str, float], mats: list[np.ndarray]) -> dict[s
         raise ValueError(f"need {n} per-qubit matrices, got {len(mats)}")
     t = np.zeros((2,) * n)
     for bits, c in counts.items():
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"histogram key {bits!r} is not a {n}-bit string")
         t[tuple(int(b) for b in bits)] += c
     flat = t.reshape(-1)
     for q in range(n):

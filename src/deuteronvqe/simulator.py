@@ -1,18 +1,19 @@
-"""Statevector simulation with stochastic Pauli noise, folding and sampling.
+"""Noisy circuit simulation: stochastic Pauli noise, folding and sampling.
 
 Noise model: after each XX gate, with probability p2 one of the fifteen
 non-identity two-qubit Paulis is applied to the pair (uniformly); after each
 single-qubit rotation, with probability p1 one of X/Y/Z is applied to that
-qubit.  Readout is an independent per-qubit confusion matrix.  This is a
-trajectory (stochastic unraveling) engine, not a density-matrix simulator:
-ensemble statistics come from many seeded trajectories, and the test suite
-holds it against an exact channel oracle.
+qubit.  Readout is an independent per-qubit confusion matrix.
 
-Reproducibility: every public entry point takes an explicit seed.  Batched
-trajectories pre-draw all noise decisions gate-major over the full
-trajectory axis from `numpy.random.SeedSequence([seed, tag])`, so results
-are bit-identical regardless of how the batch is chunked or parallelized;
-trajectory i always consumes column i of the decision arrays.
+`run_density` evolves the density matrix through this channel exactly, gate
+by gate, and the test suite holds it against an independent channel oracle.
+Every shot is an independent draw from diag(rho) pushed through the readout
+matrices, so `sample_shots_noisy`, the one sampler, returns a single
+multinomial draw; ideal sampling is the case p1 = p2 = 0.  `run_ideal` is
+the pure-state engine behind shot-free (exact) runs.
+
+Reproducibility: every histogram takes an explicit seed and draws from
+`numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
 PAULIS_2Q = tuple(np.kron(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ")[1:]
 
-# internal stream tags so batched runs and measurement draws never collide
-_STREAM_TRAJECTORY = 0x7261
+# stream tag that keeps the measurement draw apart from other uses of the seed
 _STREAM_MEASURE = 0x6D65
 
 DEFAULT_P2 = 0.0075
@@ -145,127 +145,60 @@ def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
     return out
 
 
-# cap the trajectory batch at ~2 GB of amplitudes
-_MAX_BATCH_AMPLITUDES = 1 << 27
+# cap the density matrix at 2^27 entries (2 GB complex), so n <= 13
+_MAX_DENSITY_ENTRIES = 1 << 27
 
 
-def _trajectory_batch(circuit: NativeCircuit, initial: Statevector, noise: NoiseModel,
-                      n_traj: int, rng: np.random.Generator) -> np.ndarray:
-    """Evolve n_traj independent noise realizations; decisions are pre-drawn
-    gate-major over the full trajectory axis (chunking-independent)."""
-    n = circuit.n_qubits
-    if n_traj * 2**n > _MAX_BATCH_AMPLITUDES:
-        raise ValueError(
-            f"trajectory batch of {n_traj} x 2^{n} amplitudes exceeds the memory guard")
-    noisy_gates = [g for g in circuit.gates
-                   if (g.kind == "xx" and noise.p2 > 0) or (g.kind != "xx" and noise.p1 > 0)]
-    hits = rng.random((len(noisy_gates), n_traj))
-    # one draw in [0, 15) per decision; 1q gates reduce it mod 3, which stays
-    # uniform since 15 is divisible by 3
-    choices = rng.integers(0, 15, size=(len(noisy_gates), n_traj))
-
-    batch = np.broadcast_to(initial.amplitudes, (n_traj, 2**n)).copy()
-    k = 0
-    for g in circuit.gates:
-        batch = apply_matrix(batch, native_gate_matrix(g), g.qubits, n)
-        two_qubit = g.kind == "xx"
-        rate = noise.p2 if two_qubit else noise.p1
-        if rate <= 0:
-            continue
-        hit = hits[k] < rate
-        choice = choices[k]
-        k += 1
-        if not hit.any():
-            continue
-        if two_qubit:
-            for c in range(15):
-                mask = hit & (choice == c)
-                if mask.any():
-                    batch[mask] = apply_matrix(batch[mask], PAULIS_2Q[c], g.qubits, n)
-        else:
-            for c in range(3):
-                mask = hit & (choice % 3 == c)
-                if mask.any():
-                    batch[mask] = apply_matrix(batch[mask], PAULIS_1Q[c], g.qubits, n)
-    return batch
+def _pauli_channel(paulis, p: float) -> np.ndarray:
+    """Superoperator (1-p) I + p/len(P) sum_P P (x) conj(P) acting on vec(rho)."""
+    d = paulis[0].shape[0]
+    mix = sum(np.kron(pm, pm.conj()) for pm in paulis)
+    return (1 - p) * np.eye(d * d) + (p / len(paulis)) * mix
 
 
-def run_trajectories(circuit: NativeCircuit, initial: Statevector, noise: NoiseModel,
-                     n_traj: int, seed: int) -> np.ndarray:
-    """(n_traj, 2^n) array of final trajectory states for a master seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_TRAJECTORY]))
-    return _trajectory_batch(circuit, initial, noise, n_traj, rng)
+def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
+    """(2^n, 2^n) density matrix of the noisy circuit run on |0...0>.
 
-
-def _bits_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    return (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
-def _sample_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf > uniforms[:, None]).argmax(axis=1)
-
-
-def _counts_dict(idx: np.ndarray, n: int) -> dict[str, int]:
-    values, counts = np.unique(idx, return_counts=True)
-    return {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}
-
-
-def sample_counts(state: Statevector, basis_rotations: NativeCircuit | None, shots: int,
-                  readout: tuple[np.ndarray, ...], seed: int) -> dict[str, int]:
-    """Histogram of measured bit strings from one state.
-
-    Applies the basis-change gates, samples Born-rule outcomes, then sends
-    each bit through its per-qubit confusion matrix.
+    vec(rho) (row-major) is a 2n-qubit vector whose qubit q is the ket and
+    qubit n + q the bra of circuit qubit q; each gate and its Pauli channel
+    is one superoperator C (U (x) conj(U)) on qubits (q..., n + q...).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = state.n_qubits
-    if basis_rotations is not None and basis_rotations.gates:
-        state = run_ideal(basis_rotations, state)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))
-    probs = state.probabilities()
-    idx = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-    bits = _bits_from_indices(idx, n)
-    bits = _confuse_bits(bits, readout, rng)
-    return _counts_dict((bits << np.arange(n - 1, -1, -1)).sum(axis=1), n)
-
-
-def _confuse_bits(bits: np.ndarray, readout, rng: np.random.Generator) -> np.ndarray:
-    if not readout:
-        return bits
-    n = bits.shape[1]
-    u = rng.random(bits.shape)
-    out = bits.copy()
-    for q in range(min(n, len(readout))):
-        m = readout[q]
-        # P(flip | true bit b) = m[b, 1-b]
-        p_flip = np.where(bits[:, q] == 0, m[0, 1], m[1, 0])
-        out[:, q] = bits[:, q] ^ (u[:, q] < p_flip)
-    return out
+    n = circuit.n_qubits
+    if 4**n > _MAX_DENSITY_ENTRIES:
+        raise ValueError(f"density matrix of 4^{n} entries exceeds the memory guard")
+    channels = {1: _pauli_channel(PAULIS_1Q, noise.p1), 2: _pauli_channel(PAULIS_2Q, noise.p2)}
+    vec = np.zeros(4**n, dtype=complex)
+    vec[0] = 1.0
+    for g in circuit.gates:
+        u = native_gate_matrix(g)
+        sup = channels[len(g.qubits)] @ np.kron(u, u.conj())
+        vec = apply_matrix(vec, sup, (*g.qubits, *(n + q for q in g.qubits)), 2 * n)
+    return vec.reshape(2**n, 2**n)
 
 
 def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | None,
                        shots: int, noise: NoiseModel, seed: int) -> dict[str, int]:
-    """Shot histogram with a fresh noise trajectory per shot.
+    """Shot histogram of the circuit under `noise`, as one multinomial draw.
 
     The basis-change rotations are part of the executed circuit and are
-    subject to the same single-qubit noise.
+    subject to the same single-qubit noise.  Each shot is an independent
+    draw from diag(rho) pushed through the per-qubit readout matrices.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = circuit.n_qubits
+    if noise.readout and len(noise.readout) != n:
+        raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
     full = NativeCircuit(n, list(circuit.gates))
     if basis_rotations is not None:
         full.extend(basis_rotations.gates)
-    batch = run_trajectories(full, zero_state(n), noise, shots, seed)
+    # rounding can leave diagonal entries of order -1e-17
+    probs = np.clip(np.diagonal(run_density(full, noise)).real, 0.0, None)
+    for q, m in enumerate(noise.readout):
+        probs = apply_matrix(probs, m.T, (q,), n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))
-    probs = np.abs(batch) ** 2
-    idx = _sample_indices(probs, rng.random(shots))
-    bits = _bits_from_indices(idx, n)
-    bits = _confuse_bits(bits, noise.readout, rng)
-    return _counts_dict((bits << np.arange(n - 1, -1, -1)).sum(axis=1), n)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
 
 
 def counts_to_json_dict(counts: dict[str, int | float], shots: int, seed: int, r: int) -> dict:

@@ -56,6 +56,32 @@ def test_out_of_range_noise_rate_is_usage_error(tmp_path, capsys, flag):
     assert run_cli("vqe", "--n", "2", "--shots", "0", flag, "2",
                    "--out", str(tmp_path)) == 2
     assert "in [0, 1]" in capsys.readouterr().err
+    # subcommands that build no noise model check the flags too
+    assert run_cli("ham", "--n", "2", flag, "2", "--out", str(tmp_path)) == 2
+    assert "in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "h2_oscillator.json").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: -0.5}))
+    assert run_cli("ham", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--n", "2", "--shots", "-1"),
+    ("simulate", "--circuit", "unused.json", "--shots", "-5"),
+    ("simulate", "--circuit", "unused.json", "--shots", "0"),
+    ("ham", "--n", "2", "--shots", "-1"),
+])
+def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "--shots" in capsys.readouterr().err
+
+
+def test_config_shots_checked_like_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "shots": -3, "out": str(tmp_path)}))
+    assert run_cli("vqe", "--config", str(cfg)) == 2
+    assert "--shots" in capsys.readouterr().err
 
 
 def test_ansatz_and_transpile_pipeline(tmp_path, capsys):

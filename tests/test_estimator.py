@@ -107,6 +107,13 @@ def test_spam_rejects_singular():
         spam_correct({"0": 1.0}, (np.array([[0.5, 0.5], [0.5, 0.5]]),))
 
 
+def test_spam_rejects_malformed_keys():
+    # a short key would spread its weight over a whole slice of outcomes
+    for counts in ({"10": 5, "1": 3}, {"10": 5, "1a": 3}, {"10": 5, "101": 3}):
+        with pytest.raises(ValueError, match="2-bit string"):
+            spam_correct(counts, (np.eye(2), np.eye(2)))
+
+
 def _exact_histograms(state, n, shots=1.0):
     """Infinite-shot histograms: exact Born probabilities in each basis."""
     out = {}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from conftest import evolve_density
 from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit, one_hot_embedding
 from deuteronvqe.circuits import Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
-from deuteronvqe.estimator import basis_rotation_circuit
+from deuteronvqe.estimator import apply_confusion, basis_rotation_circuit
 from deuteronvqe.simulator import (
     FoldSpec,
     NoiseModel,
     Statevector,
     flip_matrix,
     fold_circuit,
+    run_density,
     run_ideal,
-    run_trajectories,
-    sample_counts,
     sample_shots_noisy,
     zero_state,
 )
@@ -101,45 +101,78 @@ def test_fold_identity_up_to_phase(m):
     assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-10
 
 
+def _random_native(rng, n, n_gates):
+    gates = []
+    for _ in range(n_gates):
+        if n >= 2 and rng.random() < 0.4:
+            a, b = rng.choice(n, size=2, replace=False)  # both XX qubit orders
+            gates.append(Gate("xx", (int(a), int(b)), float(rng.uniform(-4, 4))))
+        else:
+            kind = str(rng.choice(["rx", "ry", "rz"]))
+            gates.append(Gate(kind, (int(rng.integers(0, n)),), float(rng.uniform(-4, 4))))
+    return _native(n, gates)
+
+
 def test_trajectory_zero_noise_equals_ideal():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
-    noise = NoiseModel(0.0, 0.0)
-    ideal = run_ideal(circ, zero_state(2))
-    traj = run_trajectories(circ, zero_state(2), noise, 1, seed=9)[0]
-    assert np.allclose(ideal.amplitudes, traj, atol=1e-12)
+    ideal = run_ideal(circ, zero_state(2)).amplitudes
+    rho = run_density(circ, NoiseModel(0.0, 0.0))
+    assert np.allclose(np.outer(ideal, ideal.conj()), rho, atol=1e-12)
 
 
 def test_trajectory_deterministic_in_seed():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)] * 3)
     noise = NoiseModel(0.2, 0.3)
-    a = run_trajectories(circ, zero_state(2), noise, 1, seed=123)[0]
-    b = run_trajectories(circ, zero_state(2), noise, 1, seed=123)[0]
-    assert np.array_equal(a, b)
-    batch1 = run_trajectories(circ, zero_state(2), noise, 64, seed=5)
-    batch2 = run_trajectories(circ, zero_state(2), noise, 64, seed=5)
-    assert np.array_equal(batch1, batch2)
+    assert np.array_equal(run_density(circ, noise), run_density(circ, noise))
+    a = sample_shots_noisy(circ, None, 64, noise, seed=123)
+    b = sample_shots_noisy(circ, None, 64, noise, seed=123)
+    assert a == b
+    assert sample_shots_noisy(circ, None, 10_000, noise, seed=5) != \
+        sample_shots_noisy(circ, None, 10_000, noise, seed=6)
 
 
 def test_trajectory_states_remain_pure():
+    # the channel keeps rho Hermitian, unit-trace and positive semidefinite
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
-    batch = run_trajectories(circ, zero_state(2), NoiseModel(0.5, 0.5), 200, seed=1)
-    norms = np.linalg.norm(batch, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-10)
+    rho = run_density(circ, NoiseModel(0.5, 0.5))
+    assert np.allclose(rho, rho.conj().T, atol=1e-12)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 def test_trajectory_average_matches_channel_oracle():
-    # 2-qubit circuit, depolarizing XX noise; ensemble-averaged density matrix
-    # against the exact channel, entrywise within 3 standard errors
+    # 2-qubit circuit, depolarizing XX noise, against the exact channel
     circ = _native(2, [Gate("ry", (0,), 1.1), Gate("xx", (0, 1), 0.9), Gate("rx", (1,), 0.4)])
     p1, p2 = 0.02, 0.01
-    n_traj = 100_000
-    batch = run_trajectories(circ, zero_state(2), NoiseModel(p1, p2), n_traj, seed=2718)
-    outer = np.einsum("bi,bj->bij", batch, batch.conj())
-    mean = outer.mean(axis=0)
-    stderr = outer.std(axis=0) / math.sqrt(n_traj)
     exact = evolve_density(circ, p1, p2)
-    diff = np.abs(mean - exact)
-    assert np.all(diff <= 3 * stderr + 1e-12)
+    assert np.abs(run_density(circ, NoiseModel(p1, p2)) - exact).max() < 1e-12
+
+
+def test_density_matches_channel_oracle_random_circuits():
+    rng = np.random.default_rng(4242)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        circ = _random_native(rng, n, int(rng.integers(1, 12)))
+        p1, p2 = (float(v) for v in rng.uniform(0, 0.3, size=2))
+        exact = evolve_density(circ, p1, p2)
+        assert np.abs(run_density(circ, NoiseModel(p1, p2)) - exact).max() < 1e-12
+
+
+def test_shot_frequencies_match_channel_and_readout():
+    # noisy 3-qubit circuit with distinct readout per qubit: frequencies lie
+    # within 4 sigma of the confused diagonal of the exact channel
+    n, shots = 3, 200_000
+    circ = _native(n, [Gate("ry", (0,), 1.3), Gate("xx", (0, 1), 0.9), Gate("rx", (2,), 0.7),
+                       Gate("xx", (2, 1), -1.2), Gate("ry", (1,), 0.4)])
+    p1, p2 = 0.03, 0.05
+    readout = (flip_matrix(0.3), np.array([[0.98, 0.02], [0.15, 0.85]]), flip_matrix(0.01))
+    counts = sample_shots_noisy(circ, None, shots, NoiseModel(p1, p2, readout), seed=17)
+    assert sum(counts.values()) == shots
+    diag = np.diagonal(evolve_density(circ, p1, p2)).real
+    expected = apply_confusion({format(i, f"0{n}b"): float(v) for i, v in enumerate(diag)}, readout)
+    for key, prob in expected.items():
+        sigma = math.sqrt(prob * (1 - prob) / shots)
+        assert abs(counts.get(key, 0) / shots - prob) <= 4 * sigma, key
 
 
 def test_noise_shrinks_term_magnitudes_with_r(pauli_h2):
@@ -160,24 +193,23 @@ def test_noise_shrinks_term_magnitudes_with_r(pauli_h2):
 
 
 def test_sample_counts_deterministic_state():
-    state = Statevector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    counts = sample_counts(state, None, 100, (np.eye(2), np.eye(2)), seed=4)
+    circ = _native(2, [Gate("rx", (0,), math.pi)])  # |10> up to phase
+    counts = sample_shots_noisy(circ, None, 100, NoiseModel(0, 0, (np.eye(2), np.eye(2))), seed=4)
     assert counts == {"10": 100}
 
 
 def test_sample_counts_full_flip():
-    state = Statevector(2, np.array([0, 0, 1, 0], dtype=complex))
+    circ = _native(2, [Gate("rx", (0,), math.pi)])
     readout = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-    counts = sample_counts(state, None, 50, readout, seed=4)
+    counts = sample_shots_noisy(circ, None, 50, NoiseModel(0, 0, readout), seed=4)
     assert counts == {"00": 50}
 
 
 def test_sample_counts_binomial_bound():
     n = 3
-    amps = np.full(2**n, 1 / math.sqrt(2**n), dtype=complex)
-    state = Statevector(n, amps)
+    circ = _native(n, [Gate("ry", (q,), math.pi / 2) for q in range(n)])  # uniform superposition
     shots = 100_000
-    counts = sample_counts(state, None, shots, (), seed=11)
+    counts = sample_shots_noisy(circ, None, shots, NoiseModel(0, 0, ()), seed=11)
     p = 1 / 2**n
     bound = 4 * math.sqrt(p * (1 - p) / shots)
     for b in range(2**n):
@@ -187,9 +219,16 @@ def test_sample_counts_binomial_bound():
 
 def test_sample_counts_basis_rotation():
     # |+> measured in the x basis is deterministic
-    plus = Statevector(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
-    counts = sample_counts(plus, basis_rotation_circuit("x", 1), 200, (), seed=0)
+    plus = _native(1, [Gate("ry", (0,), math.pi / 2)])
+    counts = sample_shots_noisy(plus, basis_rotation_circuit("x", 1), 200, NoiseModel(0, 0, ()), seed=0)
     assert counts == {"0": 200}
+
+
+def test_sample_rejects_wrong_readout_count():
+    # one matrix for three qubits would leave qubits 1 and 2 unconfused
+    circ = _native(3, [Gate("rx", (q,), math.pi) for q in range(3)])
+    with pytest.raises(ValueError, match="3 readout matrices"):
+        sample_shots_noisy(circ, None, 10, NoiseModel(0, 0, (flip_matrix(1.0),)), seed=0)
 
 
 def test_sample_shots_noisy_deterministic():
@@ -226,6 +265,15 @@ def test_fold_spec_validation():
 
 
 def test_trajectory_batch_memory_guard():
-    circ = _native(10, [Gate("rx", (0,), 0.1)])
-    with pytest.raises(ValueError, match="memory guard"):
-        run_trajectories(circ, zero_state(10), NoiseModel(0.1, 0.1), 200_000, seed=0)
+    # 4^14 entries is past the guard; it must refuse before allocating
+    circ = _native(14, [Gate("rx", (0,), 0.1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory guard"):
+            run_density(circ, NoiseModel(0.1, 0.1))
+        with pytest.raises(ValueError, match="memory guard"):
+            sample_shots_noisy(circ, None, 10, NoiseModel(0.1, 0.1), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

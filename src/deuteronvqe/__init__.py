@@ -13,7 +13,7 @@ from .ansatz import (
     optimal_parameters,
     resolve_convention,
 )
-from .circuits import Gate, LogicalCircuit, NativeCircuit
+from .circuits import ConfigError, Gate, LogicalCircuit, NativeCircuit
 from .compiler import optimize_native, transpile, unitary_equivalent, unitary_of
 from .driver import (
     RunConfig,

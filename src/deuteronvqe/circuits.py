@@ -20,7 +20,8 @@ most significant bit of a basis-state index.
 
 `PAULI` is the package's one table of Pauli matrices and `apply_matrix` its
 one gate kernel; every statevector, unitary and readout-tensor update in the
-package goes through it.
+package goes through it.  `ConfigError` is what every settings check in the
+package raises, so that callers can tell bad input from a numerical failure.
 """
 from __future__ import annotations
 
@@ -33,6 +34,10 @@ import numpy as np
 LOGICAL_KINDS = {"prep_excite": 1, "ry": 1, "cry": 2, "cx": 2}
 NATIVE_KINDS = {"rx": 1, "ry": 1, "rz": 1, "xx": 2}
 _ANGLED_KINDS = {"ry", "cry", "rx", "rz", "xx"}
+
+
+class ConfigError(ValueError):
+    """A run setting out of range: basis size, model constant, noise rate or fold level."""
 
 PAULI = {
     "I": np.eye(2, dtype=complex),

@@ -25,7 +25,7 @@ from .ansatz import (
     optimal_parameters,
     resolve_convention,
 )
-from .circuits import LogicalCircuit, NativeCircuit
+from .circuits import ConfigError, LogicalCircuit, NativeCircuit
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
 from .driver import (
     ConcaveFitError,
@@ -36,14 +36,24 @@ from .driver import (
     vqe_run,
     zne_energy,
 )
-from .estimator import ZnePoint, ZneSeries, basis_rotation_circuit, richardson_extrapolate
-from .hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy, jordan_wigner
+from .estimator import ZnePoint, ZneSeries, basis_rotation_circuit, histogram_dict, richardson_extrapolate
+from .hamiltonian import (
+    DEFAULT_HBAR_OMEGA,
+    DEFAULT_V0,
+    EftConfig,
+    build_oscillator_hamiltonian,
+    exact_ground_energy,
+    jordan_wigner,
+)
 from .simulator import (
+    DEFAULT_P1,
+    DEFAULT_P2,
+    DEFAULT_READOUT_FLIP,
+    DEFAULT_SHOTS,
     FoldSpec,
     NoiseModel,
     fold_circuit,
     sample_shots_noisy,
-    counts_to_json_dict,
 )
 
 EXIT_USAGE = 2
@@ -214,7 +224,8 @@ def cmd_simulate(args) -> int:
     noise = _noise_from_args(args, n)
     rotations = basis_rotation_circuit(args.basis, n)
     counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
-    record = counts_to_json_dict(counts, args.shots, args.seed, 2 * args.fold_m + 1)
+    record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed,
+              "r": 2 * args.fold_m + 1}
     out = _out_dir(args)
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
     _write(files["counts"], json.dumps(record))
@@ -352,14 +363,14 @@ def cmd_report(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=3, help="number of oscillator states / qubits")
-    p.add_argument("--hbar-omega", type=float, default=7.0, dest="hbar_omega")
-    p.add_argument("--v0", type=float, default=-5.68658)
+    p.add_argument("--hbar-omega", type=float, default=DEFAULT_HBAR_OMEGA, dest="hbar_omega")
+    p.add_argument("--v0", type=float, default=DEFAULT_V0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shots", type=int, default=10000,
+    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
                    help="shots per measurement setting; 0 = exact expectations")
-    p.add_argument("--p1", type=float, default=0.005)
-    p.add_argument("--p2", type=float, default=0.0075)
-    p.add_argument("--readout-eps", type=float, default=0.0074, dest="readout_eps")
+    p.add_argument("--p1", type=float, default=DEFAULT_P1)
+    p.add_argument("--p2", type=float, default=DEFAULT_P2)
+    p.add_argument("--readout-eps", type=float, default=DEFAULT_READOUT_FLIP, dest="readout_eps")
     p.add_argument("--fold", type=str, default="0,1,2,3", help="comma list of fold levels m")
     p.add_argument("--fit", choices=("linear", "quadratic"), default="linear")
     p.add_argument("--unweighted", action="store_true")
@@ -432,13 +443,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _apply_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[str]):
     """Pre-fill subcommand defaults from a flat JSON file; CLI flags still win."""
-    if "--config" not in argv or not argv:
-        return
-    idx = argv.index("--config")
+    # a pre-parse finds `--config FILE` and `--config=FILE` as argparse will
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        path = argv[idx + 1]
-    except IndexError:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
         raise CliError("--config needs a file path", EXIT_USAGE)
+    if path is None:
+        return
     try:
         values = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -468,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConcaveFitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

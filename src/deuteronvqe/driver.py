@@ -32,7 +32,7 @@ from .ansatz import (
     energy_expectation_exact,
     optimal_parameters,
 )
-from .circuits import PAULI, NativeCircuit, apply_matrix
+from .circuits import PAULI, ConfigError, NativeCircuit, apply_matrix
 from .compiler import optimize_native, transpile
 from .estimator import (
     ZnePoint,
@@ -40,6 +40,7 @@ from .estimator import (
     ZneSeries,
     basis_rotation_circuit,
     energy_estimate,
+    histogram_dict,
     measurement_settings,
     polynomial_fit,
     richardson_extrapolate,
@@ -93,11 +94,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.n_states < 2:
-            raise ValueError("pipeline runs need n_states >= 2")
+            raise ConfigError("pipeline runs need n_states >= 2")
         if not self.fold_levels or any(m < 0 for m in self.fold_levels):
-            raise ValueError("fold levels must be a non-empty list of m >= 0")
+            raise ConfigError("fold levels must be a non-empty list of m >= 0")
         if self.shots < 0:
-            raise ValueError("shots must be >= 0 (0 selects exact mode)")
+            raise ConfigError("shots must be >= 0 (0 selects exact mode)")
         if self.noise is None:
             self.noise = NoiseModel.ion_defaults(self.n_states)
 
@@ -181,7 +182,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
                 count_records.append({
                     "lambdas": list(params.lambdas), "r": 2 * m + 1,
                     "setting": setting.basis, "shots": cfg.shots,
-                    "seed": child, "counts": dict(counts),
+                    "seed": child, "counts": histogram_dict(counts),
                 })
             if cfg.noise.readout:
                 counts = spam_correct(counts, cfg.noise.readout)

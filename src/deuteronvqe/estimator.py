@@ -7,6 +7,10 @@ binomial uncertainties sigma = sqrt((1 - mean^2)/shots); setting results are
 combined as independent (settings use disjoint shot budgets, cross-setting
 covariance is ignored).
 
+A histogram is a dense count vector of length 2^n indexed by basis state
+(qubit 0 the most significant bit); bit-string keys exist only in count
+records, read and written by `histogram_array` and `histogram_dict`.
+
 Readout is corrected by applying the tensor-product inverse of the per-qubit
 confusion matrices to the empirical distribution.  The resulting
 quasi-probabilities may be slightly negative and are propagated as-is:
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -112,35 +117,58 @@ def basis_rotation_circuit(basis: str, n_qubits: int) -> NativeCircuit:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def term_expectation(counts: dict[str, float], word: str) -> tuple[float, float]:
-    """Parity estimate of one Pauli word from a (quasi-)histogram.
+def histogram_array(counts: dict[str, float], n: int) -> np.ndarray:
+    """Dense length-2^n vector of a bit-string histogram record."""
+    hist = np.zeros(2**n)
+    for bits, c in counts.items():
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"histogram key {bits!r} is not a {n}-bit string")
+        hist[int(bits, 2)] = c
+    return hist
+
+
+def histogram_dict(hist: np.ndarray) -> dict[str, int | float]:
+    """Bit-string record of a dense histogram: nonzero entries, ints kept as ints."""
+    n = len(hist).bit_length() - 1
+    return {format(i, f"0{n}b"): hist[i].item() for i in np.flatnonzero(hist)}
+
+
+def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
+    """Parity estimate of one Pauli word from a dense (quasi-)histogram.
 
     Returns (mean, sigma) with the binomial sigma sqrt((1 - mean^2)/shots).
     The histogram must come from the setting that covers the word.
     """
-    if not counts:
-        raise ValueError("empty histogram")
-    support = [q for q, letter in enumerate(word) if letter != "I"]
-    total = float(sum(counts.values()))
+    hist = np.asarray(hist)
+    if hist.shape != (2**len(word),):
+        raise ValueError(f"word {word!r} needs a histogram of shape ({2**len(word)},)")
+    total = float(hist.sum())
     if total <= 0:
         raise ValueError("histogram has no weight")
-    if not support:
+    if set(word) <= {"I"}:
         return 1.0, 0.0
-    acc = 0.0
-    for bits, c in counts.items():
-        parity = sum(int(bits[q]) for q in support) % 2
-        acc += (-1.0 if parity else 1.0) * c
-    mean = acc / total
+    # +1 on basis states of even parity on the word's support, -1 on odd
+    signs = reduce(np.kron, [(1.0, 1.0) if letter == "I" else (1.0, -1.0) for letter in word])
+    mean = float(signs @ hist) / total
     sigma = math.sqrt(max(0.0, 1.0 - mean * mean) / total)
     return mean, sigma
 
 
-def apply_confusion(dist: dict[str, float], confusion) -> dict[str, float]:
+def apply_confusion(hist, confusion):
     """Push a distribution through per-qubit confusion matrices (true -> observed)."""
-    return _apply_per_qubit(dist, [np.asarray(m, dtype=float) for m in confusion])
+    n = len(confusion)
+    if isinstance(hist, dict):  # a count record comes back as one
+        return histogram_dict(apply_confusion(histogram_array(hist, n), confusion))
+    hist = np.asarray(hist, dtype=float)
+    if hist.shape != (2**n,):
+        raise ValueError(f"{n} readout matrices need a histogram of shape ({2**n},)")
+    for q, m in enumerate(confusion):
+        # out[..., j] = sum_i hist[..., i] * m[i, j], i.e. m^T acting on qubit q
+        hist = apply_matrix(hist, np.asarray(m, dtype=float).T, (q,), n)
+    return hist
 
 
-def spam_correct(counts: dict[str, float], confusion) -> dict[str, float]:
+def spam_correct(hist, confusion):
     """Invert per-qubit readout confusion on an empirical histogram.
 
     Output is a quasi-histogram with the same total weight; small negative
@@ -152,34 +180,12 @@ def spam_correct(counts: dict[str, float], confusion) -> dict[str, float]:
         if abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("singular confusion matrix")
         mats.append(np.linalg.inv(m))
-    return _apply_per_qubit(counts, mats)
-
-
-def _apply_per_qubit(counts: dict[str, float], mats: list[np.ndarray]) -> dict[str, float]:
-    if not counts:
-        raise ValueError("empty histogram")
-    n = len(next(iter(counts)))
-    if len(mats) != n:
-        raise ValueError(f"need {n} per-qubit matrices, got {len(mats)}")
-    t = np.zeros((2,) * n)
-    for bits, c in counts.items():
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"histogram key {bits!r} is not a {n}-bit string")
-        t[tuple(int(b) for b in bits)] += c
-    flat = t.reshape(-1)
-    for q in range(n):
-        # out[..., j] = sum_i t[..., i] * m[i, j], i.e. m^T acting on qubit q
-        flat = apply_matrix(flat, mats[q].T, (q,), n)
-    out = {}
-    for idx, val in enumerate(flat):
-        if val != 0.0:
-            out[format(idx, f"0{n}b")] = float(val)
-    return out
+    return apply_confusion(hist, mats)
 
 
 def energy_estimate(h: PauliHamiltonian,
-                    histograms: dict[str, dict[str, float]]) -> tuple[float, float]:
-    """Combine per-setting histograms into <H> with its statistical sigma."""
+                    histograms: dict[str, np.ndarray]) -> tuple[float, float]:
+    """Combine per-setting dense histograms into <H> with its statistical sigma."""
     settings = measurement_settings(h)
     energy = h.identity_coefficient
     variance = 0.0

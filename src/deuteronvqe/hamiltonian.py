@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .circuits import PAULI
+from .circuits import PAULI, ConfigError
 
 DEFAULT_HBAR_OMEGA = 7.0
 DEFAULT_V0 = -5.68658
@@ -46,9 +46,9 @@ class EftConfig:
 
     def __post_init__(self):
         if self.n_states < 1:
-            raise ValueError(f"n_states must be >= 1, got {self.n_states}")
+            raise ConfigError(f"n_states must be >= 1, got {self.n_states}")
         if self.hbar_omega <= 0:
-            raise ValueError(f"hbar_omega must be positive, got {self.hbar_omega}")
+            raise ConfigError(f"hbar_omega must be positive, got {self.hbar_omega}")
 
 
 def kinetic_element(n_prime: int, n: int, hbar_omega: float = DEFAULT_HBAR_OMEGA) -> float:

@@ -9,8 +9,10 @@ qubit.  Readout is an independent per-qubit confusion matrix.
 by gate, and the test suite holds it against an independent channel oracle.
 Every shot is an independent draw from diag(rho) pushed through the readout
 matrices, so `sample_shots_noisy`, the one sampler, returns a single
-multinomial draw; ideal sampling is the case p1 = p2 = 0.  `run_ideal` is
-the pure-state engine behind shot-free (exact) runs.
+multinomial draw: the int count vector of length 2^n indexed by basis state
+(qubit 0 the most significant bit) that the estimator consumes.  Ideal
+sampling is the case p1 = p2 = 0.  `run_ideal` is the pure-state engine
+behind shot-free (exact) runs.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import PAULI, Gate, NativeCircuit, apply_matrix, native_gate_matrix
+from .circuits import PAULI, ConfigError, Gate, NativeCircuit, apply_matrix, native_gate_matrix
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
@@ -55,14 +57,14 @@ class NoiseModel:
 
     def __post_init__(self):
         if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
-            raise ValueError("Pauli rates must lie in [0, 1]")
+            raise ConfigError("Pauli rates must lie in [0, 1]")
         mats = []
         for m in self.readout:
             m = np.asarray(m, dtype=float)
             if (m.shape != (2, 2) or np.any((m < 0) | (m > 1))
                     or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9)):
-                raise ValueError("readout confusion matrices must be 2x2, with entries in [0, 1] "
-                                 "and rows summing to 1")
+                raise ConfigError("readout confusion matrices must be 2x2, with entries in [0, 1] "
+                                  "and rows summing to 1")
             mats.append(m)
         self.readout = tuple(mats)
 
@@ -84,7 +86,7 @@ class FoldSpec:
 
     def __post_init__(self):
         if self.m < 0:
-            raise ValueError("fold level m must be non-negative")
+            raise ConfigError("fold level m must be non-negative")
 
     @property
     def r(self) -> int:
@@ -177,8 +179,8 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
 
 
 def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | None,
-                       shots: int, noise: NoiseModel, seed: int) -> dict[str, int]:
-    """Shot histogram of the circuit under `noise`, as one multinomial draw.
+                       shots: int, noise: NoiseModel, seed: int) -> np.ndarray:
+    """Shot counts of the circuit under `noise`, as one multinomial draw.
 
     The basis-change rotations are part of the executed circuit and are
     subject to the same single-qubit noise.  Each shot is an independent
@@ -197,10 +199,4 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     for q, m in enumerate(noise.readout):
         probs = apply_matrix(probs, m.T, (q,), n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))
-    counts = rng.multinomial(shots, probs / probs.sum())
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
-
-
-def counts_to_json_dict(counts: dict[str, int | float], shots: int, seed: int, r: int) -> dict:
-    """Histogram record in the external JSON shape."""
-    return {"shots": shots, "counts": dict(counts), "seed": seed, "r": r}
+    return rng.multinomial(shots, probs / probs.sum())

@@ -77,6 +77,38 @@ def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
     assert "--shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--n", "2", "--shots", "0", "--fold=-1"),
+    ("vqe", "--n", "1", "--shots", "0"),
+    ("ham", "--n", "0"),
+    ("simulate", "--circuit", "{circuit}", "--fold-m", "-1"),
+    ("vqe", "--n", "2", "--hbar-omega", "-1", "--shots", "0"),
+])
+def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
+    # settings rejected by RunConfig, EftConfig or FoldSpec exit 2, not 3
+    circuit = tmp_path / "native.json"
+    circuit.write_text(NativeCircuit(2, []).to_json())
+    argv = [a.format(circuit=circuit) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_config_file_equals_spelling(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "shots": 0, "lambdas": "0.59"}))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("vqe", "--config", str(cfg), "--out", str(out_a)) == 0
+    assert run_cli("vqe", f"--config={cfg}", "--out", str(out_b)) == 0
+    summary = (out_a / "vqe_n2_summary.json").read_text()
+    assert summary == (out_b / "vqe_n2_summary.json").read_text()
+    assert json.loads(summary)["lambdas"] == [0.59]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"shotz": 0}))
+    capsys.readouterr()
+    assert run_cli("ham", f"--config={bad}", "--out", str(tmp_path)) == 2
+    assert "shotz" in capsys.readouterr().err
+
+
 def test_config_shots_checked_like_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "shots": -3, "out": str(tmp_path)}))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from deuteronvqe.estimator import (
     apply_confusion,
     basis_rotation_circuit,
     energy_estimate,
+    histogram_array,
+    histogram_dict,
     measurement_settings,
     richardson_extrapolate,
     spam_correct,
@@ -58,16 +61,47 @@ def test_settings_reject_mixed_axis_terms():
 
 
 def test_term_expectation_examples():
-    assert term_expectation({"10": 100}, "ZZ") == (-1.0, 0.0)
-    mean, sigma = term_expectation({"00": 50, "11": 50}, "ZI")
+    assert term_expectation(histogram_array({"10": 100}, 2), "ZZ") == (-1.0, 0.0)
+    mean, sigma = term_expectation(histogram_array({"00": 50, "11": 50}, 2), "ZI")
     assert mean == 0.0
     assert sigma == pytest.approx(0.1)
-    assert term_expectation({"01": 7}, "II") == (1.0, 0.0)
+    assert term_expectation(histogram_array({"01": 7}, 2), "II") == (1.0, 0.0)
 
 
 def test_term_expectation_errors():
     with pytest.raises(ValueError):
         term_expectation({}, "ZI")
+    with pytest.raises(ValueError, match="no weight"):
+        term_expectation(np.zeros(4), "ZI")
+    # a histogram of the wrong length, and the bit-string dicts whose short or
+    # long keys were once read as if they covered every qubit
+    for hist in (np.ones(2), np.ones(8), np.ones((2, 2)), {"10": 5, "1": 3}, {"101": 5}):
+        with pytest.raises(ValueError, match=r"histogram of shape \(4,\)"):
+            term_expectation(hist, "ZI")
+
+
+def test_term_expectation_matches_diagonal_oracle():
+    # every Z/I word at n = 1..4 against the diagonal of its dense matrix
+    rng = np.random.default_rng(31)
+    for n in range(1, 5):
+        for letters in itertools.product("IZ", repeat=n):
+            word = "".join(letters)
+            diag = np.diagonal(PauliHamiltonian(n, [(1.0, word)]).to_matrix()).real
+            for _ in range(5):
+                p = rng.dirichlet(np.ones(2**n))
+                mean, _ = term_expectation(p, word)
+                assert abs(mean - p @ diag) <= 1e-12, (word, mean, p @ diag)
+
+
+def test_histogram_record_roundtrip():
+    counts = {"000": 3, "101": 7, "110": 1}
+    hist = histogram_array(counts, 3)
+    assert np.array_equal(hist, [3, 0, 0, 0, 0, 7, 1, 0])
+    assert histogram_dict(hist) == counts
+    ints = histogram_dict(np.array([0, 4, 0, 2]))
+    assert ints == {"01": 4, "11": 2} and all(type(v) is int for v in ints.values())
+    with pytest.raises(ValueError, match="not a 3-bit string"):
+        histogram_array({"10": 1}, 3)
 
 
 def test_spam_identity_confusion():
@@ -87,6 +121,16 @@ def test_spam_inverse_roundtrip():
         recovered = spam_correct(observed, confusion)
         for key, val in dist.items():
             assert recovered.get(key, 0.0) == pytest.approx(val, abs=1e-10)
+        # dense vectors, with asymmetric row-stochastic readout as well
+        asymmetric = tuple(np.array([[1 - a, a], [b, 1 - b]])
+                           for a, b in rng.uniform(0, 0.2, size=(n, 2)))
+        for mats in (confusion, asymmetric):
+            dense_observed = apply_confusion(probs, mats)
+            dense_recovered = spam_correct(dense_observed, mats)
+            assert np.abs(dense_recovered - probs).max() <= 1e-10
+            # the record-dict branch gives bit-identical values
+            assert histogram_dict(dense_observed) == apply_confusion(dist, mats)
+            assert histogram_dict(dense_recovered) == spam_correct(apply_confusion(dist, mats), mats)
 
 
 def test_spam_hand_worked_example():
@@ -116,12 +160,8 @@ def test_spam_rejects_malformed_keys():
 
 def _exact_histograms(state, n, shots=1.0):
     """Infinite-shot histograms: exact Born probabilities in each basis."""
-    out = {}
-    for basis in ("z", "x", "y"):
-        rotated = run_ideal(basis_rotation_circuit(basis, n), state)
-        probs = rotated.probabilities()
-        out[basis] = {format(i, f"0{n}b"): float(p) * shots for i, p in enumerate(probs)}
-    return out
+    return {basis: run_ideal(basis_rotation_circuit(basis, n), state).probabilities() * shots
+            for basis in ("z", "x", "y")}
 
 
 def test_energy_estimate_bare_excitation(h2, pauli_h2):
@@ -160,7 +200,7 @@ def test_energy_estimate_matches_matrix_on_random_states(pauli_h2):
 
 def test_energy_estimate_missing_setting(pauli_h2):
     with pytest.raises(KeyError):
-        energy_estimate(pauli_h2, {"z": {"00": 1.0}})
+        energy_estimate(pauli_h2, {"z": np.array([1.0, 0.0, 0.0, 0.0])})
 
 
 def test_richardson_exact_line():

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .circuits import Gate, LogicalCircuit, apply_matrix, logical_gate_matrix
-from .hamiltonian import OscillatorHamiltonian
+from .circuits import ConfigError, Gate, LogicalCircuit, apply_matrix, logical_gate_matrix
+from .hamiltonian import OscillatorHamiltonian, ground_state
 from .refdata import LANDSCAPE_N4
 
 CONVENTION_TOLERANCE = 5e-3
@@ -121,7 +120,7 @@ def build_ansatz_circuit(
     cos/sin of the gate angle appear directly in the prepared state.
     """
     if n_states < 2:
-        raise ValueError(f"need at least 2 states, got {n_states}")
+        raise ConfigError(f"an ansatz circuit needs at least 2 states, got {n_states}")
     if params.n_states != n_states:
         raise ValueError(f"params describe {params.n_states} states, circuit wants {n_states}")
     ang = convention.effective_angles(params.lambdas)
@@ -201,34 +200,16 @@ def energy_expectation_exact(
 def optimal_parameters(
     h: OscillatorHamiltonian,
     convention: AngleConvention = RESOLVED_CONVENTION,
-    restarts: int = 8,
-    seed: int = 7,
 ) -> tuple[HypersphericalParams, float]:
-    """Minimize the exact ansatz energy with restarted Nelder-Mead.
+    """Exact minimum of the ansatz energy, in closed form.
 
-    The ansatz spans the whole one-hot sector, so the minimum matches the
-    lowest eigenvalue of `h`.
+    The ansatz spans the whole one-hot sector, so the minimizing amplitudes
+    are the ground eigenvector of `h` and the minimum is its lowest
+    eigenvalue.  The angles are the canonical inverse of that vector under
+    `convention`.
     """
-    n = h.dim
-    if n == 1:
-        return HypersphericalParams(()), float(h.entries[0, 0])
-
-    def objective(lam):
-        return energy_expectation_exact(HypersphericalParams(tuple(lam)), h, convention)
-
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n - 1, 0.5)]
-    starts += [rng.uniform(0.0, math.pi, n - 1) for _ in range(restarts - 1)]
-    best_x, best_f = None, math.inf
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000})
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
-    # many parameter vectors share one amplitude vector; report the canonical one
-    best = parameters_from_amplitudes(
-        amplitudes(HypersphericalParams(tuple(best_x)), convention), convention)
-    return best, best_f
+    energy, v = ground_state(h)
+    return parameters_from_amplitudes(v, convention), energy
 
 
 @lru_cache(maxsize=1)

@@ -240,7 +240,10 @@ def cmd_zne(args) -> int:
         parts = chunk.split(":")
         if len(parts) != 3:
             raise CliError(f"series entries must be r:value:sigma, got {chunk!r}", EXIT_USAGE)
-        points.append(ZnePoint(int(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            points.append(ZnePoint(int(parts[0]), float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise CliError(f"cannot parse series entry {chunk!r}: {exc}", EXIT_USAGE)
     try:
         series = ZneSeries(points)
         result = richardson_extrapolate(series, args.fit, weighted=not args.unweighted)

@@ -12,10 +12,12 @@ Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
 runs replay bit-exactly and are insensitive to evaluation order.
 
-The parameter search is Nelder-Mead.  Shot noise makes the objective
-stochastic, so the simplex re-evaluates all vertices after a shrink step
-(stale low values otherwise pin the simplex) and the returned optimum is the
-best value actually observed.
+The parameter search is Nelder-Mead started from the closed-form exact
+optimum.  Because the child seeds do not depend on the parameters, every
+evaluation at the same parameters draws the same histograms (common random
+numbers): the noisy objective is a deterministic function of the parameters,
+so a simplex vertex's stored value is never stale.  The returned optimum is
+the best value observed.
 """
 from __future__ import annotations
 
@@ -219,13 +221,13 @@ def _per_term_result(cfg: RunConfig, pauli: PauliHamiltonian,
 
 
 def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,
-                ftol: float = 1e-8, stochastic: bool = False):
-    """Compact Nelder-Mead with resample-on-shrink for stochastic objectives.
+                ftol: float = 1e-8):
+    """Compact Nelder-Mead for a deterministic objective.
 
-    Tracks and returns the best (x, f) ever observed rather than trusting the
-    final simplex, which matters when evaluations are noisy.  The budget is
-    soft: an in-flight simplex update may overshoot `max_evals` by a few
-    calls.  Returns (x_best, f_best, n_evals, converged).
+    Each vertex is scored once and its value kept.  Tracks and returns the
+    best (x, f) ever observed rather than trusting the final simplex.  The
+    budget is soft: an in-flight simplex update may overshoot `max_evals` by
+    a few calls.  Returns (x_best, f_best, n_evals, converged).
     """
     n = len(x0)
     evals = 0
@@ -269,13 +271,10 @@ def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,
             if fc < fvals[-1]:
                 simplex[-1], fvals[-1] = xc, fc
             else:
-                # shrink toward the best vertex; with a noisy objective the
-                # retained vertex values are stale, so resample everything
+                # shrink toward the best vertex, whose value is kept: the
+                # objective is deterministic per point, even with shots
                 simplex = [simplex[0]] + [simplex[0] + 0.5 * (p - simplex[0]) for p in simplex[1:]]
-                if stochastic:
-                    fvals = [call(p) for p in simplex]
-                else:
-                    fvals = [fvals[0]] + [call(p) for p in simplex[1:]]
+                fvals = [fvals[0]] + [call(p) for p in simplex[1:]]
     return best[0], best[1], evals, converged
 
 
@@ -307,7 +306,7 @@ def vqe_run(cfg: RunConfig) -> VqeRunResult:
 
     x_best, _, evals, converged = nelder_mead(
         objective, x0, step=0.25, max_evals=cfg.max_evals,
-        ftol=1e-8 if cfg.shots == 0 else 1e-4, stochastic=cfg.shots > 0)
+        ftol=1e-8 if cfg.shots == 0 else 1e-4)
     result = evaluate(x_best)
     return VqeRunResult(HypersphericalParams(tuple(float(v) for v in x_best)),
                         result, trace, converged=converged)
@@ -323,9 +322,9 @@ class ScanSpec:
 
     def __post_init__(self):
         if not 0 <= self.index < len(self.fixed):
-            raise ValueError(f"varied index {self.index} out of range for {len(self.fixed)} parameters")
+            raise ConfigError(f"varied index {self.index} out of range for {len(self.fixed)} parameters")
         if not self.values:
-            raise ValueError("empty value list")
+            raise ConfigError("empty value list")
 
     def row_params(self, value: float) -> tuple[float, ...]:
         lam = list(self.fixed)

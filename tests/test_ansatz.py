@@ -21,7 +21,12 @@ from deuteronvqe.ansatz import (
     statevector_of_logical,
 )
 from deuteronvqe.circuits import LogicalCircuit
-from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy
+from deuteronvqe.hamiltonian import (
+    EftConfig,
+    build_oscillator_hamiltonian,
+    exact_ground_energy,
+    ground_state,
+)
 from deuteronvqe.refdata import LANDSCAPE_N4
 
 
@@ -151,6 +156,18 @@ def test_optimal_parameters_reaches_exact_minimum(n, expected):
     assert energy == pytest.approx(expected, abs=1e-3)
     assert energy == pytest.approx(exact_ground_energy(h), abs=1e-4)
     assert energy == pytest.approx(energy_expectation_exact(params, h), abs=1e-9)
+
+
+def test_optimal_parameters_is_ground_eigenvector():
+    for n in range(1, 11):
+        h = build_oscillator_hamiltonian(EftConfig(n))
+        exact = exact_ground_energy(h)
+        _, v = ground_state(h)
+        for conv in CANDIDATE_CONVENTIONS:
+            params, energy = optimal_parameters(h, conv)
+            assert energy == pytest.approx(exact, abs=1e-12)
+            assert energy_expectation_exact(params, h, conv) == pytest.approx(exact, abs=1e-12)
+            assert abs(amplitudes(params, conv) @ v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parameters_from_amplitudes_roundtrip():

@@ -83,9 +83,15 @@ def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
     ("ham", "--n", "0"),
     ("simulate", "--circuit", "{circuit}", "--fold-m", "-1"),
     ("vqe", "--n", "2", "--hbar-omega", "-1", "--shots", "0"),
+    ("ansatz", "--n", "1"),
+    ("transpile", "--n", "1"),
+    ("scan", "--n", "3", "--vary", "lambda5", "--values", "0.1", "--shots", "0"),
+    ("scan", "--n", "3", "--vary", "lambda0", "--values", ",", "--shots", "0"),
+    ("zne", "--series", "1:x:0.1"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
-    # settings rejected by RunConfig, EftConfig or FoldSpec exit 2, not 3
+    # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
+    # builder or the CLI's own parsers exit 2, not 3
     circuit = tmp_path / "native.json"
     circuit.write_text(NativeCircuit(2, []).to_json())
     argv = [a.format(circuit=circuit) for a in argv]

@@ -153,7 +153,7 @@ def test_nelder_mead_returns_best_observed():
     def noisy(x):
         return float(np.sum(x**2)) + float(rng.normal(0, 0.05))
 
-    x, fx, _, _ = nelder_mead(noisy, np.array([2.0, -2.0]), max_evals=150, stochastic=True)
+    x, fx, _, _ = nelder_mead(noisy, np.array([2.0, -2.0]), max_evals=150)
     assert np.sum(x**2) < 1.0  # made solid progress despite the noise
 
 

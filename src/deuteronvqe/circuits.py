@@ -20,8 +20,10 @@ most significant bit of a basis-state index.
 
 `PAULI` is the package's one table of Pauli matrices and `apply_matrix` its
 one gate kernel; every statevector, unitary and readout-tensor update in the
-package goes through it.  `ConfigError` is what every settings check in the
-package raises, so that callers can tell bad input from a numerical failure.
+package goes through it.  Constant arrays that the package builds once and
+shares (this table, the channel and parity tables) are read-only.
+`ConfigError` is what every settings check in the package raises, so that
+callers can tell bad input from a numerical failure.
 """
 from __future__ import annotations
 
@@ -39,12 +41,21 @@ _ANGLED_KINDS = {"ry", "cry", "rx", "rz", "xx"}
 class ConfigError(ValueError):
     """A run setting out of range: basis size, model constant, noise rate or fold level."""
 
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a shared constant read-only, so that no caller can change it in place."""
+    a.setflags(write=False)
+    return a
+
+
 PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "I": frozen(np.eye(2, dtype=complex)),
+    "X": frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+    "Y": frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]])),
+    "Z": frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
 }
+PAULI_XX = frozen(np.kron(PAULI["X"], PAULI["X"]))
+_EYE4 = frozen(np.eye(4))
 
 
 def apply_matrix(states: np.ndarray, m: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -54,14 +65,15 @@ def apply_matrix(states: np.ndarray, m: np.ndarray, qubits, n: int) -> np.ndarra
     listed qubit is the most significant bit of its index).  A single
     2**n vector is accepted too; the result has the shape of `states`.
     """
-    k = len(qubits)
-    axes = [1 + q for q in qubits]
-    t = states.reshape((-1,) + (2,) * n)
-    # contracting the state first keeps the arithmetic of a row-by-m.T product:
-    # results are bit-identical to applying m on a reshaped (rows, 2**k) view
-    t = np.tensordot(t, m.reshape((2,) * (2 * k)), axes=(axes, list(range(k, 2 * k))))
-    # tensordot leaves the k output axes last; put them back in place
-    return np.moveaxis(t, list(range(-k, 0)), axes).reshape(states.shape)
+    # bring the target qubits to the front of each row, in the order listed,
+    # so that one batched (2**k, 2**k) @ (2**k, rest) product applies m;
+    # results agree with any other contraction order to rounding, not bit for bit
+    perm = (0, *(1 + q for q in qubits), *(1 + q for q in range(n) if q not in qubits))
+    t = states.reshape((-1,) + (2,) * n).transpose(perm)
+    shape = t.shape
+    t = np.matmul(m, t.reshape(shape[0], 2 ** len(qubits), -1))
+    inverse = sorted(range(n + 1), key=perm.__getitem__)
+    return t.reshape(shape).transpose(inverse).reshape(states.shape)
 
 
 @dataclass(frozen=True)
@@ -179,7 +191,7 @@ def rz_matrix(theta: float) -> np.ndarray:
 
 
 def xx_matrix(chi: float) -> np.ndarray:
-    return np.cos(chi / 2) * np.eye(4) - 1j * np.sin(chi / 2) * np.kron(PAULI["X"], PAULI["X"])
+    return np.cos(chi / 2) * _EYE4 - 1j * np.sin(chi / 2) * PAULI_XX
 
 
 def native_gate_matrix(gate: Gate) -> np.ndarray:

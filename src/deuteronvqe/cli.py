@@ -34,7 +34,6 @@ from .driver import (
     convergence_report,
     landscape_scan,
     vqe_run,
-    zne_energy,
 )
 from .estimator import ZnePoint, ZneSeries, basis_rotation_circuit, histogram_dict, richardson_extrapolate
 from .hamiltonian import (
@@ -259,13 +258,12 @@ def cmd_vqe(args) -> int:
     if lam is not None and len(lam) != args.n - 1:
         raise CliError(f"{args.n} states need {args.n - 1} angles", EXIT_USAGE)
     cfg = _run_config(args, lambdas=lam)
-    result = vqe_run(cfg)
+    # raw per-(r, setting) counts of the reported evaluation
+    records: list[dict] | None = [] if args.shots > 0 else None
+    result = vqe_run(cfg, count_records=records)
     out = _out_dir(args)
     files = {}
-    if args.shots > 0:
-        # re-evaluate the final parameters capturing raw per-(r, setting) counts
-        records: list[dict] = []
-        zne_energy(cfg, result.params, count_records=records)
+    if records is not None:
         counts_path = out / f"vqe_n{args.n}_counts.jsonl"
         _write(counts_path, "\n".join(json.dumps(r) for r in records) + "\n")
         files["counts"] = counts_path

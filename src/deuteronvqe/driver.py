@@ -4,9 +4,9 @@ One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, fold it at each requested level, draw
 per-setting shot histograms from the exact noise channel, invert readout
 confusion, form the energy with binomial errors, and extrapolate the
-(r, energy) series to r = 0.  With ``shots = 0`` every sampling stage is
-replaced by exact expectation values on the ideal statevector, and the
-pipeline reproduces the analytic ansatz energy.
+(r, energy) series to r = 0.  With ``shots = 0`` each setting's histogram is
+replaced by the exact outcome distribution of the ideal statevector, fed to
+the same estimator, and the pipeline reproduces the analytic ansatz energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -34,7 +34,7 @@ from .ansatz import (
     energy_expectation_exact,
     optimal_parameters,
 )
-from .circuits import PAULI, ConfigError, NativeCircuit, apply_matrix
+from .circuits import ConfigError, NativeCircuit
 from .compiler import optimize_native, transpile
 from .estimator import (
     ZnePoint,
@@ -64,7 +64,6 @@ from .simulator import (
     DEFAULT_SHOTS,
     FoldSpec,
     NoiseModel,
-    Statevector,
     fold_circuit,
     run_ideal,
     sample_shots_noisy,
@@ -130,14 +129,6 @@ def _child_seed(seed: int, m: int, basis_index: int) -> int:
     return int(np.random.SeedSequence([seed, m, basis_index]).generate_state(1)[0])
 
 
-def _exact_word_expectation(state: Statevector, word: str) -> float:
-    t = state.amplitudes
-    for q, letter in enumerate(word):
-        if letter != "I":
-            t = apply_matrix(t, PAULI[letter], (q,), state.n_qubits)
-    return float(np.real(np.vdot(state.amplitudes, t)))
-
-
 def prepared_native_circuit(cfg: RunConfig, params: HypersphericalParams) -> NativeCircuit:
     logical = build_ansatz_circuit(cfg.n_states, params, cfg.convention)
     return optimize_native(transpile(logical))
@@ -157,20 +148,20 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     if pauli is None:
         pauli = jordan_wigner(h)
     native = prepared_native_circuit(cfg, params)
+    settings = measurement_settings(pauli)
 
     if cfg.shots == 0:
+        # the exact outcome distribution of each setting stands in for its histogram
         state = run_ideal(native, zero_state(cfg.n_states))
-        energy = pauli.identity_coefficient + sum(
-            c * _exact_word_expectation(state, w)
-            for c, w in pauli.terms if set(w) != {"I"}
-        )
+        probs = {s.basis: run_ideal(basis_rotation_circuit(s.basis, cfg.n_states), state)
+                 .probabilities() for s in settings}
+        energy, _ = energy_estimate(pauli, probs)
         points = [ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))]
         series = ZneSeries(points)
         if len(points) == 1:
             return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
         return series, richardson_extrapolate(series, cfg.fit, cfg.weighted)
 
-    settings = measurement_settings(pauli)
     points = []
     per_term_series: dict[str, list[tuple[int, float, float]]] = {}
     for m in sorted(set(cfg.fold_levels)):
@@ -278,22 +269,26 @@ def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,
     return best[0], best[1], evals, converged
 
 
-def vqe_run(cfg: RunConfig) -> VqeRunResult:
-    """Evaluate or optimize the extrapolated energy, with a full trace."""
+def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunResult:
+    """Evaluate or optimize the extrapolated energy, with a full trace.
+
+    Pass a list as `count_records` to capture the count records of the
+    reported (closing) evaluation, as `zne_energy` does.
+    """
     h = build_oscillator_hamiltonian(cfg.eft())
     pauli = jordan_wigner(h)
     trace: list[EvalRecord] = []
 
-    def evaluate(lambdas) -> ZneResult:
+    def evaluate(lambdas, records=None) -> ZneResult:
         params = HypersphericalParams(tuple(float(v) for v in lambdas))
-        series, result = zne_energy(cfg, params, h, pauli)
+        series, result = zne_energy(cfg, params, h, pauli, records)
         trace.append(EvalRecord(params.lambdas,
                                 [(p.r, p.value, p.sigma) for p in series.points],
                                 result.intercept, result.intercept_sigma))
         return result
 
     if cfg.lambdas is not None:
-        result = evaluate(cfg.lambdas)
+        result = evaluate(cfg.lambdas, count_records)
         return VqeRunResult(HypersphericalParams(tuple(cfg.lambdas)), result, trace)
 
     # start from the analytic optimum; in exact mode this converges in a few
@@ -307,7 +302,7 @@ def vqe_run(cfg: RunConfig) -> VqeRunResult:
     x_best, _, evals, converged = nelder_mead(
         objective, x0, step=0.25, max_evals=cfg.max_evals,
         ftol=1e-8 if cfg.shots == 0 else 1e-4)
-    result = evaluate(x_best)
+    result = evaluate(x_best, count_records)
     return VqeRunResult(HypersphericalParams(tuple(float(v) for v in x_best)),
                         result, trace, converged=converged)
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Gate, NativeCircuit, apply_matrix
+from .circuits import Gate, NativeCircuit, apply_matrix, frozen
 from .hamiltonian import PauliHamiltonian
 
 BASIS_LABELS = ("z", "x", "y")
@@ -127,10 +127,26 @@ def histogram_array(counts: dict[str, float], n: int) -> np.ndarray:
     return hist
 
 
+@lru_cache(maxsize=16)
+def _bit_labels(n: int) -> tuple[str, ...]:
+    """The 2^n bit strings in basis-state order; records share these key objects."""
+    return tuple(format(i, f"0{n}b") for i in range(2**n))
+
+
 def histogram_dict(hist: np.ndarray) -> dict[str, int | float]:
     """Bit-string record of a dense histogram: nonzero entries, ints kept as ints."""
     n = len(hist).bit_length() - 1
-    return {format(i, f"0{n}b"): hist[i].item() for i in np.flatnonzero(hist)}
+    if len(hist) != 2**n:
+        raise ValueError(f"histogram of length {len(hist)} is not indexed by n-bit states")
+    labels = _bit_labels(n)
+    return {labels[i]: hist[i].item() for i in np.flatnonzero(hist)}
+
+
+@lru_cache(maxsize=256)
+def _parity_signs(word: str) -> np.ndarray:
+    """+1 on basis states of even parity on the word's support, -1 on odd."""
+    return frozen(reduce(np.kron, [(1.0, 1.0) if letter == "I" else (1.0, -1.0)
+                                   for letter in word], np.ones(1)))
 
 
 def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
@@ -147,9 +163,7 @@ def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
         raise ValueError("histogram has no weight")
     if set(word) <= {"I"}:
         return 1.0, 0.0
-    # +1 on basis states of even parity on the word's support, -1 on odd
-    signs = reduce(np.kron, [(1.0, 1.0) if letter == "I" else (1.0, -1.0) for letter in word])
-    mean = float(signs @ hist) / total
+    mean = float(_parity_signs(word) @ hist) / total
     sigma = math.sqrt(max(0.0, 1.0 - mean * mean) / total)
     return mean, sigma
 

@@ -20,14 +20,23 @@ Reproducibility: every histogram takes an explicit seed and draws from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, ConfigError, Gate, NativeCircuit, apply_matrix, native_gate_matrix
+from .circuits import (
+    PAULI,
+    ConfigError,
+    Gate,
+    NativeCircuit,
+    apply_matrix,
+    frozen,
+    native_gate_matrix,
+)
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
-PAULIS_2Q = tuple(np.kron(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ")[1:]
+PAULIS_2Q = tuple(frozen(np.kron(PAULI[a], PAULI[b])) for a in "IXYZ" for b in "IXYZ")[1:]
 
 # stream tag that keeps the measurement draw apart from other uses of the seed
 _STREAM_MEASURE = 0x6D65
@@ -151,11 +160,14 @@ def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
 _MAX_DENSITY_ENTRIES = 1 << 27
 
 
-def _pauli_channel(paulis, p: float) -> np.ndarray:
-    """Superoperator (1-p) I + p/len(P) sum_P P (x) conj(P) acting on vec(rho)."""
+@lru_cache(maxsize=64)
+def _pauli_channel(arity: int, p: float) -> np.ndarray:
+    """Superoperator (1-p) I + p/len(P) sum_P P (x) conj(P) acting on vec(rho),
+    over the non-identity Paulis P on `arity` qubits; built once per (arity, p)."""
+    paulis = PAULIS_1Q if arity == 1 else PAULIS_2Q
     d = paulis[0].shape[0]
     mix = sum(np.kron(pm, pm.conj()) for pm in paulis)
-    return (1 - p) * np.eye(d * d) + (p / len(paulis)) * mix
+    return frozen((1 - p) * np.eye(d * d) + (p / len(paulis)) * mix)
 
 
 def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
@@ -168,7 +180,7 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
     n = circuit.n_qubits
     if 4**n > _MAX_DENSITY_ENTRIES:
         raise ValueError(f"density matrix of 4^{n} entries exceeds the memory guard")
-    channels = {1: _pauli_channel(PAULIS_1Q, noise.p1), 2: _pauli_channel(PAULIS_2Q, noise.p2)}
+    channels = {1: _pauli_channel(1, noise.p1), 2: _pauli_channel(2, noise.p2)}
     vec = np.zeros(4**n, dtype=complex)
     vec[0] = 1.0
     for g in circuit.gates:

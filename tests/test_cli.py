@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from deuteronvqe import cli, driver
+from deuteronvqe.ansatz import HypersphericalParams
 from deuteronvqe.cli import main
 from deuteronvqe.circuits import LogicalCircuit, NativeCircuit
 from deuteronvqe.hamiltonian import PauliHamiltonian
@@ -207,6 +209,30 @@ def test_seed_reproducibility(tmp_path):
         assert (out_a / name).read_text() == (out_b / name).read_text()
     record = json.loads((out_a / "vqe_n2_counts.jsonl").read_text().splitlines()[0])
     assert {"lambdas", "r", "setting", "shots", "seed", "counts"} <= set(record)
+
+
+def test_noisy_vqe_scores_each_point_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = driver.zne_energy
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].lambdas)
+        return real(*args, **kwargs)
+
+    # the CLI module once bound zne_energy too; count calls through either binding
+    monkeypatch.setattr(driver, "zne_energy", counted)
+    monkeypatch.setattr(cli, "zne_energy", counted, raising=False)
+    assert run_cli("vqe", "--n", "2", "--shots", "300", "--seed", "4", "--out", str(tmp_path)) == 0
+    trace = (tmp_path / "vqe_n2_trace.jsonl").read_text().splitlines()
+    assert len(calls) == len(trace)
+    # the counts file holds the records of the reported evaluation, as a fresh
+    # evaluation at the reported parameters writes them
+    lambdas = tuple(json.loads((tmp_path / "vqe_n2_summary.json").read_text())["lambdas"])
+    records: list[dict] = []
+    real(driver.RunConfig(n_states=2, shots=300, seed=4), HypersphericalParams(lambdas),
+         count_records=records)
+    expected = "\n".join(json.dumps(r) for r in records) + "\n"
+    assert (tmp_path / "vqe_n2_counts.jsonl").read_text() == expected
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from conftest import _full_op
 
 from deuteronvqe.ansatz import HypersphericalParams, build_ansatz_circuit
-from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit, apply_matrix
+from deuteronvqe.circuits import PAULI, PAULI_XX, Gate, LogicalCircuit, NativeCircuit, apply_matrix, xx_matrix
 from deuteronvqe.compiler import (
     decompose_cnot,
     decompose_cry,
@@ -50,6 +50,17 @@ def test_apply_matrix_matches_full_operator(n, rows, dtype):
         assert out.shape == states.shape and out.dtype == np.dtype(dtype)
         expected = states @ _full_op(m, qubits, n).T
         assert np.allclose(out, expected, atol=1e-12), qubits
+
+
+def test_shared_gate_constants_are_read_only():
+    assert np.array_equal(PAULI_XX, np.kron(PAULI["X"], PAULI["X"]))
+    for table in (PAULI_XX, PAULI["X"], PAULI["Y"]):
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    # a gate matrix is the caller's own: writing into it leaves the constants alone
+    m = xx_matrix(0.3)
+    m[:] = 0.0
+    assert np.allclose(xx_matrix(math.pi), -1j * PAULI_XX)
 
 
 def test_unitary_of_empty_circuit():

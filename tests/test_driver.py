@@ -14,7 +14,7 @@ from deuteronvqe.driver import (
     zne_energy,
 )
 from deuteronvqe.estimator import ZneResult
-from deuteronvqe.hamiltonian import exact_ground_energy
+from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy
 from deuteronvqe.refdata import (
     LANDSCAPE_FIT_AVERAGE,
     LANDSCAPE_FIT_MINIMA,
@@ -41,6 +41,16 @@ def test_zne_exact_mode_matches_analytic(h3):
     analytic = energy_expectation_exact(HypersphericalParams(lam), h3)
     assert res.intercept == pytest.approx(analytic, abs=1e-9)
     assert all(p.value == pytest.approx(analytic, abs=1e-9) for p in series.points)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_zne_exact_mode_matches_analytic_random_angles(n):
+    # the exact-mode estimator path against the ansatz quadratic form
+    lam = tuple(np.random.default_rng(n).uniform(-np.pi, np.pi, size=n - 1))
+    params = HypersphericalParams(lam)
+    _, res = zne_energy(RunConfig(n_states=n, lambdas=lam, shots=0), params)
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    assert res.intercept == pytest.approx(energy_expectation_exact(params, h), abs=1e-12)
 
 
 def test_zne_replay_bit_exact():

@@ -18,6 +18,8 @@ from deuteronvqe.estimator import (
     richardson_extrapolate,
     spam_correct,
     term_expectation,
+    _bit_labels,
+    _parity_signs,
 )
 from deuteronvqe.hamiltonian import PauliHamiltonian, jordan_wigner
 from deuteronvqe.simulator import flip_matrix, run_ideal, zero_state
@@ -68,6 +70,22 @@ def test_term_expectation_examples():
     assert term_expectation(histogram_array({"01": 7}, 2), "II") == (1.0, 0.0)
 
 
+def test_parity_signs_built_once_and_read_only():
+    signs = _parity_signs("ZIZ")
+    assert _parity_signs("ZIZ") is signs
+    assert signs.tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
+    assert _parity_signs("X").tolist() == [1, -1]
+    with pytest.raises(ValueError):
+        signs[0] = 0.0
+
+
+def test_histogram_records_share_key_objects():
+    a = histogram_dict(np.array([3, 0, 1, 0, 0, 0, 0, 2]))
+    b = histogram_dict(np.array([0, 0, 5, 0, 0, 0, 0, 1]))
+    assert list(a) == ["000", "010", "111"] and list(b) == ["010", "111"]
+    assert all(key is _bit_labels(3)[int(key, 2)] for key in [*a, *b])
+
+
 def test_term_expectation_errors():
     with pytest.raises(ValueError):
         term_expectation({}, "ZI")
@@ -102,6 +120,9 @@ def test_histogram_record_roundtrip():
     assert ints == {"01": 4, "11": 2} and all(type(v) is int for v in ints.values())
     with pytest.raises(ValueError, match="not a 3-bit string"):
         histogram_array({"10": 1}, 3)
+    # six entries wrote the mixed-width record {"00": 1, "101": 2}
+    with pytest.raises(ValueError, match="length 6"):
+        histogram_dict(np.array([1, 0, 0, 0, 0, 2]))
 
 
 def test_spam_identity_confusion():

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,33 @@ def test_exact_ground_energy_matches_dense_solver():
         m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         h = OscillatorHamiltonian(m)
         assert exact_ground_energy(h) == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_exact_ground_energy_matches_lapack_tridiagonal(n):
+    # oracle: LAPACK's own bisection (stebz) through scipy; the package uses no scipy
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    expected = eigh_tridiagonal(np.diag(h.entries), np.diag(h.entries, 1), eigvals_only=True,
+                                select="i", select_range=(0, 0))[0]
+    assert exact_ground_energy(h) == pytest.approx(expected, abs=1e-12)
+
+
+def test_exact_ground_energy_rejects_non_tridiagonal():
+    # the bisection reads only the two diagonals; a corner entry would be dropped
+    m = np.zeros((3, 3))
+    m[0, 2] = m[2, 0] = 1.0
+    with pytest.raises(ValueError, match="tridiagonal"):
+        exact_ground_energy(OscillatorHamiltonian(m))
+
+
+def test_package_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import deuteronvqe, deuteronvqe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_variational_bound(h4):

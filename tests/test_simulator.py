@@ -11,6 +11,8 @@ from deuteronvqe.circuits import Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
+    PAULIS_1Q,
+    PAULIS_2Q,
     FoldSpec,
     NoiseModel,
     Statevector,
@@ -20,6 +22,7 @@ from deuteronvqe.simulator import (
     run_ideal,
     sample_shots_noisy,
     zero_state,
+    _pauli_channel,
 )
 
 
@@ -277,3 +280,17 @@ def test_trajectory_batch_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("arity, paulis", [(1, PAULIS_1Q), (2, PAULIS_2Q)])
+def test_pauli_channel_built_once_and_read_only(arity, paulis):
+    p = 0.0123
+    channel = _pauli_channel(arity, p)
+    assert _pauli_channel(arity, p) is channel
+    d = 2**arity
+    expected = (1 - p) * np.eye(d * d) + p / len(paulis) * sum(np.kron(q, q.conj()) for q in paulis)
+    assert np.array_equal(channel, expected)
+    with pytest.raises(ValueError):
+        channel[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        paulis[0][0, 0] = 0.0

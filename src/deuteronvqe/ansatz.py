@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import ConfigError, Gate, LogicalCircuit, apply_matrix, logical_gate_matrix
+from .circuits import ConfigError, Gate, LogicalCircuit
 from .hamiltonian import OscillatorHamiltonian, ground_state
 from .refdata import LANDSCAPE_N4
 
@@ -132,16 +132,6 @@ def build_ansatz_circuit(
             circ.append("cry", (i, i + 1), float(ang[i]))
         circ.append("cx", (i + 1, i))
     return circ
-
-
-def statevector_of_logical(circ: LogicalCircuit) -> np.ndarray:
-    """Apply the logical circuit to |0...0>; qubit 0 is the most significant bit."""
-    n = circ.n_qubits
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for g in circ.gates:
-        state = apply_matrix(state, logical_gate_matrix(g), g.qubits, n)
-    return state
 
 
 def one_hot_embedding(amps: np.ndarray) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Circuit representations: logical ansatz gates and trapped-ion native gates.
 
-Two gate sets share one lightweight IR:
+A gate set is data.  `Circuit.GATES` maps each gate kind to (qubit count,
+matrix): a function of the angle for a rotation, a fixed read-only matrix
+otherwise, so a kind takes an angle exactly when its matrix is a function.
+The two gate sets are subclasses that only set this table:
 
-- logical: ``prep_excite`` (X-type preparation of |1>), ``ry`` (uncontrolled
-  exp(-i*theta*Y)), ``cry`` (controlled exp(-i*theta*Y)), ``cx``
-- native: ``rx``/``ry``/``rz`` axis rotations and the two-qubit ``xx`` gate
+- `LogicalCircuit`: ``prep_excite`` (X-type preparation of |1>), ``ry``
+  (uncontrolled exp(-i*theta*Y)), ``cry`` (controlled exp(-i*theta*Y)), ``cx``
+- `NativeCircuit`: ``rx``/``ry``/``rz`` axis rotations and the two-qubit ``xx`` gate
+
+`Circuit` owns the one gate check, JSON in and out, and `Circuit.apply`, the
+one walk that runs a gate list through `apply_matrix`.
 
 Fixed matrix conventions, used everywhere in the package:
 
@@ -14,32 +20,28 @@ Fixed matrix conventions, used everywhere in the package:
 Note the angle carried by logical ``ry``/``cry`` is the *full* rotation
 exp(-i*angle*Y) (so that cos(angle)/sin(angle) appear directly in the
 prepared amplitudes); the native ``ry`` uses the half-angle convention above.
+Controlled gates act on (control, target).  Bit/state ordering: qubit 0 is
+the first character of a bit string and the most significant index bit.
 
-Bit/state ordering: qubit 0 is the first character of a bit string and the
-most significant bit of a basis-state index.
-
-`PAULI` is the package's one table of Pauli matrices and `apply_matrix` its
-one gate kernel; every statevector, unitary and readout-tensor update in the
-package goes through it.  Constant arrays that the package builds once and
-shares (this table, the channel and parity tables) are read-only.
-`ConfigError` is what every settings check in the package raises, so that
-callers can tell bad input from a numerical failure.
+`PAULI` is the package's one Pauli table and `apply_matrix` its one gate
+kernel, behind every statevector, unitary and readout-tensor update.  Shared
+constant arrays (this table, fixed gate matrices, channel and parity tables)
+are read-only.  `ConfigError` is what every settings check in the package
+raises, so that callers can tell bad input from a numerical failure.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-LOGICAL_KINDS = {"prep_excite": 1, "ry": 1, "cry": 2, "cx": 2}
-NATIVE_KINDS = {"rx": 1, "ry": 1, "rz": 1, "xx": 2}
-_ANGLED_KINDS = {"ry", "cry", "rx", "rz", "xx"}
-
 
 class ConfigError(ValueError):
-    """A run setting out of range: basis size, model constant, noise rate or fold level."""
+    """Bad input: a run setting out of range (basis size, model constant, noise
+    rate or fold level), or a circuit that is malformed or breaks its gate set."""
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -76,108 +78,6 @@ def apply_matrix(states: np.ndarray, m: np.ndarray, qubits, n: int) -> np.ndarra
     return t.reshape(shape).transpose(inverse).reshape(states.shape)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: kind name, qubit tuple, optional angle in radians."""
-
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.angle is not None and not np.isfinite(self.angle):
-            raise ValueError(f"non-finite angle in {self.kind}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self.kind}{self.qubits}")
-
-
-def _check_gates(gates, n_qubits, kinds, label):
-    for g in gates:
-        if g.kind not in kinds:
-            raise ValueError(f"{label} circuit does not support gate kind {g.kind!r}")
-        if len(g.qubits) != kinds[g.kind]:
-            raise ValueError(f"{g.kind} expects {kinds[g.kind]} qubit(s), got {g.qubits}")
-        if any(not 0 <= q < n_qubits for q in g.qubits):
-            raise ValueError(f"qubit index out of range in {g.kind}{g.qubits}")
-        if (g.kind in _ANGLED_KINDS) != (g.angle is not None):
-            raise ValueError(f"{g.kind} {'needs an' if g.kind in _ANGLED_KINDS else 'takes no'} angle")
-
-
-@dataclass
-class LogicalCircuit:
-    """Ordered gate list over the logical (ansatz-level) gate set."""
-
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        _check_gates(self.gates, self.n_qubits, LOGICAL_KINDS, "logical")
-
-    def append(self, kind: str, qubits: tuple[int, ...], angle: float | None = None):
-        g = Gate(kind, qubits, angle)
-        _check_gates([g], self.n_qubits, LOGICAL_KINDS, "logical")
-        self.gates.append(g)
-
-    def to_json(self) -> str:
-        return _circuit_json(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> LogicalCircuit:
-        n, gates = _circuit_from_json(text)
-        return cls(n, gates)
-
-
-@dataclass
-class NativeCircuit:
-    """Ordered gate list over the trapped-ion native gate set."""
-
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        _check_gates(self.gates, self.n_qubits, NATIVE_KINDS, "native")
-
-    def append(self, kind: str, qubits: tuple[int, ...], angle: float):
-        g = Gate(kind, qubits, angle)
-        _check_gates([g], self.n_qubits, NATIVE_KINDS, "native")
-        self.gates.append(g)
-
-    def extend(self, gates):
-        for g in gates:
-            _check_gates([g], self.n_qubits, NATIVE_KINDS, "native")
-            self.gates.append(g)
-
-    def xx_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "xx")
-
-    def gate_counts(self) -> dict[str, int]:
-        return dict(Counter(g.kind for g in self.gates))
-
-    def to_json(self) -> str:
-        return _circuit_json(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> NativeCircuit:
-        n, gates = _circuit_from_json(text)
-        return cls(n, gates)
-
-
-def _circuit_json(circ) -> str:
-    records = []
-    for g in circ.gates:
-        rec = {"gate": g.kind, "q": list(g.qubits)}
-        if g.angle is not None:
-            rec["angle"] = g.angle
-        records.append(rec)
-    return json.dumps({"n_qubits": circ.n_qubits, "gates": records})
-
-
-def _circuit_from_json(text: str):
-    doc = json.loads(text)
-    gates = [Gate(r["gate"], tuple(r["q"]), r.get("angle")) for r in doc["gates"]]
-    return int(doc["n_qubits"]), gates
-
-
 def rx_matrix(theta: float) -> np.ndarray:
     return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * PAULI["X"]
 
@@ -194,34 +94,129 @@ def xx_matrix(chi: float) -> np.ndarray:
     return np.cos(chi / 2) * _EYE4 - 1j * np.sin(chi / 2) * PAULI_XX
 
 
-def native_gate_matrix(gate: Gate) -> np.ndarray:
-    """2x2 or 4x4 matrix of a native gate, on the qubits in the order listed."""
-    k = gate.kind
-    if k == "rx":
-        return rx_matrix(gate.angle)
-    if k == "ry":
-        return ry_matrix(gate.angle)
-    if k == "rz":
-        return rz_matrix(gate.angle)
-    if k == "xx":
-        return xx_matrix(gate.angle)
-    raise ValueError(f"not a native gate kind: {gate.kind!r}")
+def _controlled(u: np.ndarray) -> np.ndarray:
+    """4x4 controlled-`u` on (control, target)."""
+    return np.block([[PAULI["I"], np.zeros((2, 2))], [np.zeros((2, 2)), u]])
 
 
-def logical_gate_matrix(gate: Gate) -> np.ndarray:
-    """Matrix of a logical gate; controlled gates are ordered (control, target)."""
-    k = gate.kind
-    if k == "prep_excite":
-        return PAULI["X"].copy()
-    if k == "ry":
+@dataclass(frozen=True)
+class Gate:
+    """One gate: kind name, qubit tuple, optional angle in radians."""
+
+    kind: str
+    qubits: tuple[int, ...]
+    angle: float | None = None
+
+    def __post_init__(self):
+        if self.angle is not None and not np.isfinite(self.angle):
+            raise ConfigError(f"non-finite angle in {self.kind}")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ConfigError(f"repeated qubit in {self.kind}{self.qubits}")
+
+
+def _is_a(value, types) -> bool:
+    """`isinstance` that does not count JSON true/false as numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+@dataclass
+class Circuit:
+    """Ordered gate list over the gate set in the class's `GATES` table.
+
+    `GATES[kind]` is (qubit count, matrix): the matrix is a function of the
+    angle, or a fixed read-only array for a kind that takes no angle.
+    """
+
+    GATES: ClassVar[dict] = {}
+
+    n_qubits: int
+    gates: list[Gate] = field(default_factory=list)
+
+    def __post_init__(self):
+        for g in self.gates:
+            self._check(g)
+
+    def _check(self, g: Gate):
+        if g.kind not in self.GATES:
+            raise ConfigError(f"{type(self).__name__} does not support gate kind {g.kind!r}")
+        arity, matrix = self.GATES[g.kind]
+        if len(g.qubits) != arity:
+            raise ConfigError(f"{g.kind} expects {arity} qubit(s), got {g.qubits}")
+        if any(not 0 <= q < self.n_qubits for q in g.qubits):
+            raise ConfigError(f"qubit index out of range in {g.kind}{g.qubits}")
+        if callable(matrix) != (g.angle is not None):
+            raise ConfigError(f"{g.kind} {'needs an' if callable(matrix) else 'takes no'} angle")
+
+    def append(self, kind: str, qubits: tuple[int, ...], angle: float | None = None):
+        self.extend([Gate(kind, qubits, angle)])
+
+    def extend(self, gates):
+        for g in gates:
+            self._check(g)
+            self.gates.append(g)
+
+    def xx_count(self) -> int:
+        return sum(1 for g in self.gates if g.kind == "xx")
+
+    def gate_counts(self) -> dict[str, int]:
+        return dict(Counter(g.kind for g in self.gates))
+
+    @classmethod
+    def gate_matrix(cls, g: Gate) -> np.ndarray:
+        """2x2 or 4x4 matrix of a gate, on its qubits in the order listed."""
+        matrix = cls.GATES[g.kind][1]
+        return matrix(g.angle) if callable(matrix) else matrix
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """Run the gates in order on each row of a (B, 2**n) array, or on one
+        2**n vector; an empty circuit returns `states` itself."""
+        for g in self.gates:
+            states = apply_matrix(states, self.gate_matrix(g), g.qubits, self.n_qubits)
+        return states
+
+    def to_json(self) -> str:
+        records = []
+        for g in self.gates:
+            rec = {"gate": g.kind, "q": list(g.qubits)}
+            if g.angle is not None:
+                rec["angle"] = g.angle
+            records.append(rec)
+        return json.dumps({"n_qubits": self.n_qubits, "gates": records})
+
+    @classmethod
+    def from_json(cls, text: str) -> Circuit:
+        """Read `to_json` output; a malformed or ill-typed document, or a gate
+        outside this gate set, raises `ConfigError`."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"circuit JSON line {exc.lineno} col {exc.colno}: {exc.msg}")
+        if (not isinstance(doc, dict) or not _is_a(doc.get("n_qubits"), int)
+                or doc["n_qubits"] < 1 or not isinstance(doc.get("gates"), list)):
+            raise ConfigError("a circuit needs a positive integer n_qubits and a list of gates")
+        for r in doc["gates"]:
+            if (not isinstance(r, dict) or not isinstance(r.get("gate"), str)
+                    or not isinstance(r.get("q"), list) or not all(_is_a(q, int) for q in r["q"])
+                    or not _is_a(r.get("angle"), (int, float, type(None)))):
+                raise ConfigError(f"gate record {r!r} needs a kind string, a list of integer "
+                                  "qubits and a numeric angle if any")
+        return cls(doc["n_qubits"], [Gate(r["gate"], tuple(r["q"]), r.get("angle"))
+                                     for r in doc["gates"]])
+
+
+class LogicalCircuit(Circuit):
+    """Ordered gate list over the logical (ansatz-level) gate set."""
+
+    GATES = {
+        "prep_excite": (1, PAULI["X"]),
         # full-angle convention: exp(-i*angle*Y)
-        return ry_matrix(2 * gate.angle)
-    if k == "cry":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = ry_matrix(2 * gate.angle)
-        return m
-    if k == "cx":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = PAULI["X"]
-        return m
-    raise ValueError(f"not a logical gate kind: {gate.kind!r}")
+        "ry": (1, lambda angle: ry_matrix(2 * angle)),
+        "cry": (2, lambda angle: _controlled(ry_matrix(2 * angle))),
+        "cx": (2, frozen(_controlled(PAULI["X"]))),
+    }
+
+
+class NativeCircuit(Circuit):
+    """Ordered gate list over the trapped-ion native gate set."""
+
+    GATES = {"rx": (1, rx_matrix), "ry": (1, ry_matrix), "rz": (1, rz_matrix), "xx": (2, xx_matrix)}

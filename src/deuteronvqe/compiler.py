@@ -22,14 +22,7 @@ import math
 
 import numpy as np
 
-from .circuits import (
-    Gate,
-    LogicalCircuit,
-    NativeCircuit,
-    apply_matrix,
-    logical_gate_matrix,
-    native_gate_matrix,
-)
+from .circuits import Circuit, Gate, LogicalCircuit, NativeCircuit
 
 MAX_UNITARY_QUBITS = 10
 PHASE_TOLERANCE = 1e-9
@@ -37,17 +30,13 @@ PHASE_TOLERANCE = 1e-9
 _TWO_PI = 2 * math.pi
 
 
-def unitary_of(circuit: LogicalCircuit | NativeCircuit) -> np.ndarray:
+def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full unitary of a circuit; memory-guarded to small qubit counts."""
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary_of supports at most {MAX_UNITARY_QUBITS} qubits, got {n}")
-    matrix_of = native_gate_matrix if isinstance(circuit, NativeCircuit) else logical_gate_matrix
     # row i of the batch evolves basis state i, i.e. becomes column i of U
-    rows = np.eye(2**n, dtype=complex)
-    for g in circuit.gates:
-        rows = apply_matrix(rows, matrix_of(g), g.qubits, n)
-    return rows.T
+    return circuit.apply(np.eye(2**n, dtype=complex)).T
 
 
 def unitary_equivalent(u: np.ndarray, v: np.ndarray, tol: float = PHASE_TOLERANCE) -> bool:
@@ -175,32 +164,20 @@ def gate_identity_report() -> list[dict]:
     conventions report.
     """
     thetas = (0.0, 0.25, math.pi / 2, 1.0, -0.7, 2.2)
-
-    def fragment_unitary(gates, n):
-        return unitary_of(NativeCircuit(n, list(gates)))
-
-    def logical_unitary(gates, n):
-        return unitary_of(LogicalCircuit(n, list(gates)))
-
+    # (identity, XX angle, logical gates, native fragment), each a function of theta;
+    # the logical ry(theta/2) is the native ry(theta)
+    cases = (
+        ("cx", "pi/2", lambda th: [Gate("cx", (0, 1))], lambda th: decompose_cnot(0, 1)),
+        ("cx_ry_cx", "theta",
+         lambda th: [Gate("cx", (0, 1)), Gate("ry", (1,), th / 2), Gate("cx", (0, 1))],
+         lambda th: decompose_cx_ry_cx(0, 1, th)),
+        ("cry", "-theta", lambda th: [Gate("cry", (0, 1), th)], lambda th: decompose_cry(0, 1, th)),
+    )
     records = []
-
-    dev = 1 - abs(np.trace(logical_unitary([Gate("cx", (0, 1))], 2).conj().T
-                           @ fragment_unitary(decompose_cnot(0, 1), 2))) / 4
-    records.append({"identity": "cx", "xx_angle": "pi/2", "max_deviation": float(dev)})
-
-    worst = 0.0
-    for th in thetas:
-        lhs = (logical_unitary([Gate("cx", (0, 1))], 2)
-               @ fragment_unitary([Gate("ry", (1,), th)], 2)
-               @ logical_unitary([Gate("cx", (0, 1))], 2))
-        rhs = fragment_unitary(decompose_cx_ry_cx(0, 1, th), 2)
-        worst = max(worst, 1 - abs(np.trace(lhs.conj().T @ rhs)) / 4)
-    records.append({"identity": "cx_ry_cx", "xx_angle": "theta", "max_deviation": float(worst)})
-
-    worst = 0.0
-    for th in thetas:
-        lhs = logical_unitary([Gate("cry", (0, 1), th)], 2)
-        rhs = fragment_unitary(decompose_cry(0, 1, th), 2)
-        worst = max(worst, 1 - abs(np.trace(lhs.conj().T @ rhs)) / 4)
-    records.append({"identity": "cry", "xx_angle": "-theta", "max_deviation": float(worst)})
+    for identity, xx_angle, logical, native in cases:
+        deviations = [1 - abs(np.trace(unitary_of(LogicalCircuit(2, logical(th))).conj().T
+                                       @ unitary_of(NativeCircuit(2, native(th))))) / 4
+                      for th in thetas]
+        records.append({"identity": identity, "xx_angle": xx_angle,
+                        "max_deviation": float(max(deviations))})
     return records

@@ -17,7 +17,10 @@ optimum.  Because the child seeds do not depend on the parameters, every
 evaluation at the same parameters draws the same histograms (common random
 numbers): the noisy objective is a deterministic function of the parameters,
 so a simplex vertex's stored value is never stale.  The returned optimum is
-the best value observed.
+the best point observed; its reported energy is one more evaluation on a
+stream of its own, since on the search's streams it would repeat the trace
+minimum, which selection biases low.  `landscape_scan` rows are reported
+values too, so each row gets its own stream.
 """
 from __future__ import annotations
 
@@ -123,6 +126,9 @@ class VqeRunResult:
     zne: ZneResult
     trace: list[EvalRecord]
     converged: bool = True
+
+
+_REPORT_TAG = 0x7270  # tags the stream of a search's reported evaluation
 
 
 def _child_seed(seed: int, m: int, basis_index: int) -> int:
@@ -273,15 +279,15 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
     """Evaluate or optimize the extrapolated energy, with a full trace.
 
     Pass a list as `count_records` to capture the count records of the
-    reported (closing) evaluation, as `zne_energy` does.
+    reported (closing) evaluation, which after a search has its own stream.
     """
     h = build_oscillator_hamiltonian(cfg.eft())
     pauli = jordan_wigner(h)
     trace: list[EvalRecord] = []
 
-    def evaluate(lambdas, records=None) -> ZneResult:
+    def evaluate(lambdas, records=None, run_cfg=cfg) -> ZneResult:
         params = HypersphericalParams(tuple(float(v) for v in lambdas))
-        series, result = zne_energy(cfg, params, h, pauli, records)
+        series, result = zne_energy(run_cfg, params, h, pauli, records)
         trace.append(EvalRecord(params.lambdas,
                                 [(p.r, p.value, p.sigma) for p in series.points],
                                 result.intercept, result.intercept_sigma))
@@ -302,7 +308,7 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
     x_best, _, evals, converged = nelder_mead(
         objective, x0, step=0.25, max_evals=cfg.max_evals,
         ftol=1e-8 if cfg.shots == 0 else 1e-4)
-    result = evaluate(x_best, count_records)
+    result = evaluate(x_best, count_records, replace(cfg, seed=_child_seed(cfg.seed, _REPORT_TAG, 0)))
     return VqeRunResult(HypersphericalParams(tuple(float(v) for v in x_best)),
                         result, trace, converged=converged)
 

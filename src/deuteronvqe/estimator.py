@@ -104,17 +104,12 @@ def measurement_settings(h: PauliHamiltonian) -> list[MeasurementSetting]:
 
 def basis_rotation_circuit(basis: str, n_qubits: int) -> NativeCircuit:
     """Pre-measurement rotations mapping the given basis onto Z."""
-    circ = NativeCircuit(n_qubits)
-    if basis == "z":
-        return circ
-    if basis == "x":
-        # RY(-pi/2)^dag Z RY(-pi/2) = X
-        circ.gates = [Gate("ry", (q,), -math.pi / 2) for q in range(n_qubits)]
-        return circ
-    if basis == "y":
-        circ.gates = [Gate("rx", (q,), math.pi / 2) for q in range(n_qubits)]
-        return circ
-    raise ValueError(f"unknown basis {basis!r}")
+    # RY(-pi/2)^dag Z RY(-pi/2) = X and RX(pi/2)^dag Z RX(pi/2) = Y
+    rotation = {"z": (), "x": (("ry", -math.pi / 2),), "y": (("rx", math.pi / 2),)}
+    if basis not in rotation:
+        raise ValueError(f"unknown basis {basis!r}")
+    return NativeCircuit(n_qubits, [Gate(kind, (q,), angle) for kind, angle in rotation[basis]
+                                    for q in range(n_qubits)])
 
 
 def histogram_array(counts: dict[str, float], n: int) -> np.ndarray:

@@ -12,7 +12,8 @@ matrices, so `sample_shots_noisy`, the one sampler, returns a single
 multinomial draw: the int count vector of length 2^n indexed by basis state
 (qubit 0 the most significant bit) that the estimator consumes.  Ideal
 sampling is the case p1 = p2 = 0.  `run_ideal` is the pure-state engine
-behind shot-free (exact) runs.
+behind shot-free (exact) runs, a call of the circuit's one walk,
+`Circuit.apply`; `run_density` takes its gate matrices from the same table.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -24,15 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import (
-    PAULI,
-    ConfigError,
-    Gate,
-    NativeCircuit,
-    apply_matrix,
-    frozen,
-    native_gate_matrix,
-)
+from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, frozen
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
@@ -130,14 +123,12 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(n_qubits)
 
 
-def run_ideal(circuit: NativeCircuit, initial: Statevector) -> Statevector:
-    """Exact unitary application, gate by gate."""
+def run_ideal(circuit: Circuit, initial: Statevector) -> Statevector:
+    """Exact unitary application of a logical or native circuit, gate by gate."""
     if initial.n_qubits != circuit.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    amps = initial.amplitudes.copy()
-    for g in circuit.gates:
-        amps = apply_matrix(amps, native_gate_matrix(g), g.qubits, circuit.n_qubits)
-    return Statevector(circuit.n_qubits, amps)
+    # an empty circuit returns what it is given, so give it a copy
+    return Statevector(circuit.n_qubits, circuit.apply(initial.amplitudes.copy()))
 
 
 def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
@@ -150,9 +141,7 @@ def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
     for g in circuit.gates:
         out.gates.append(g)
         if g.kind == "xx":
-            for _ in range(spec.m):
-                out.gates.append(Gate("xx", g.qubits, -g.angle))
-                out.gates.append(Gate("xx", g.qubits, g.angle))
+            out.gates.extend([Gate("xx", g.qubits, -g.angle), g] * spec.m)
     return out
 
 
@@ -184,7 +173,7 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
     vec = np.zeros(4**n, dtype=complex)
     vec[0] = 1.0
     for g in circuit.gates:
-        u = native_gate_matrix(g)
+        u = circuit.gate_matrix(g)
         sup = channels[len(g.qubits)] @ np.kron(u, u.conj())
         vec = apply_matrix(vec, sup, (*g.qubits, *(n + q for q in g.qubits)), 2 * n)
     return vec.reshape(2**n, 2**n)
@@ -203,9 +192,7 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
-    full = NativeCircuit(n, list(circuit.gates))
-    if basis_rotations is not None:
-        full.extend(basis_rotations.gates)
+    full = NativeCircuit(n, circuit.gates + (basis_rotations.gates if basis_rotations else []))
     # rounding can leave diagonal entries of order -1e-17
     probs = np.clip(np.diagonal(run_density(full, noise)).real, 0.0, None)
     for q, m in enumerate(noise.readout):

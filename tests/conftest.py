@@ -54,14 +54,12 @@ def _full_op(small: np.ndarray, qubits, n: int) -> np.ndarray:
 
 def evolve_density(circuit, p1: float, p2: float) -> np.ndarray:
     """Exact stochastic-Pauli channel evolution of |0...0><0...0|."""
-    from deuteronvqe.circuits import native_gate_matrix
-
     n = circuit.n_qubits
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     for g in circuit.gates:
-        u = _full_op(native_gate_matrix(g), g.qubits, n)
+        u = _full_op(circuit.gate_matrix(g), g.qubits, n)
         rho = u @ rho @ u.conj().T
         if g.kind == "xx" and p2 > 0:
             mix = np.zeros_like(rho)

@@ -18,7 +18,6 @@ from deuteronvqe.ansatz import (
     optimal_parameters,
     parameters_from_amplitudes,
     resolve_convention,
-    statevector_of_logical,
 )
 from deuteronvqe.circuits import LogicalCircuit
 from deuteronvqe.hamiltonian import (
@@ -28,6 +27,7 @@ from deuteronvqe.hamiltonian import (
     ground_state,
 )
 from deuteronvqe.refdata import LANDSCAPE_N4
+from deuteronvqe.simulator import run_ideal, zero_state
 
 
 def test_amplitudes_trivial_cases():
@@ -110,7 +110,7 @@ def test_circuit_state_matches_amplitudes(n):
         params = HypersphericalParams(lam)
         for reduce_first in (True, False):
             circ = build_ansatz_circuit(n, params, reduce_first_block=reduce_first)
-            psi = statevector_of_logical(circ)
+            psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
             target = one_hot_embedding(amplitudes(params))
             # equality up to global phase
             assert abs(abs(np.vdot(psi, target)) - 1.0) < 1e-10
@@ -120,7 +120,7 @@ def test_circuit_one_hot_support():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
         lam = tuple(rng.uniform(0, math.pi, size=n - 1))
-        psi = statevector_of_logical(build_ansatz_circuit(n, HypersphericalParams(lam)))
+        psi = run_ideal(build_ansatz_circuit(n, HypersphericalParams(lam)), zero_state(n)).amplitudes
         one_hot = {1 << (n - 1 - k) for k in range(n)}
         for idx, amp in enumerate(psi):
             if idx not in one_hot:
@@ -129,7 +129,7 @@ def test_circuit_one_hot_support():
 
 def test_lambda_zero_prepares_bare_excitation():
     circ = build_ansatz_circuit(2, HypersphericalParams((0.0,)))
-    psi = statevector_of_logical(circ)
+    psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
     assert psi[0b10] == pytest.approx(1.0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from deuteronvqe import cli, driver
 from deuteronvqe.ansatz import HypersphericalParams
 from deuteronvqe.cli import main
-from deuteronvqe.circuits import LogicalCircuit, NativeCircuit
+from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit
 from deuteronvqe.hamiltonian import PauliHamiltonian
 
 
@@ -79,6 +79,19 @@ def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
     assert "--shots" in capsys.readouterr().err
 
 
+# circuit files that are malformed, ill-typed, or break the native gate set
+_BAD_CIRCUITS = {
+    "q_string": '{"n_qubits": 2, "gates": [{"gate": "rx", "q": ["0"], "angle": 0.5}]}',
+    "q_scalar": '{"n_qubits": 2, "gates": [{"gate": "rx", "q": 0, "angle": 0.5}]}',
+    "angle_string": '{"n_qubits": 2, "gates": [{"gate": "rx", "q": [0], "angle": "0.5"}]}',
+    "unknown_kind": '{"n_qubits": 2, "gates": [{"gate": "cz", "q": [0, 1]}]}',
+    "no_n_qubits": '{"gates": []}',
+    "unparsable": '{"n_qubits": 2, "gates": [',
+    "repeated_qubit": '{"n_qubits": 2, "gates": [{"gate": "xx", "q": [1, 1], "angle": 0.5}]}',
+    "qubit_out_of_range": '{"n_qubits": 2, "gates": [{"gate": "rx", "q": [2], "angle": 0.5}]}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("vqe", "--n", "2", "--shots", "0", "--fold=-1"),
     ("vqe", "--n", "1", "--shots", "0"),
@@ -90,13 +103,17 @@ def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
     ("scan", "--n", "3", "--vary", "lambda5", "--values", "0.1", "--shots", "0"),
     ("scan", "--n", "3", "--vary", "lambda0", "--values", ",", "--shots", "0"),
     ("zne", "--series", "1:x:0.1"),
+    *(("simulate", "--circuit", f"{{{name}}}") for name in _BAD_CIRCUITS),
+    ("transpile", "--circuit", "{native_gates}"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
-    # builder or the CLI's own parsers exit 2, not 3
-    circuit = tmp_path / "native.json"
-    circuit.write_text(NativeCircuit(2, []).to_json())
-    argv = [a.format(circuit=circuit) for a in argv]
+    # builder, the circuit loader or the CLI's own parsers exit 2, not 3
+    files = {"circuit": NativeCircuit(2, []).to_json(),
+             "native_gates": NativeCircuit(2, [Gate("rx", (0,), 0.5)]).to_json(), **_BAD_CIRCUITS}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert "error" in capsys.readouterr().err
 
@@ -226,10 +243,11 @@ def test_noisy_vqe_scores_each_point_once(tmp_path, monkeypatch, capsys):
     trace = (tmp_path / "vqe_n2_trace.jsonl").read_text().splitlines()
     assert len(calls) == len(trace)
     # the counts file holds the records of the reported evaluation, as a fresh
-    # evaluation at the reported parameters writes them
+    # evaluation at the reported parameters on the report stream writes them
     lambdas = tuple(json.loads((tmp_path / "vqe_n2_summary.json").read_text())["lambdas"])
     records: list[dict] = []
-    real(driver.RunConfig(n_states=2, shots=300, seed=4), HypersphericalParams(lambdas),
+    report_seed = driver._child_seed(4, driver._REPORT_TAG, 0)
+    real(driver.RunConfig(n_states=2, shots=300, seed=report_seed), HypersphericalParams(lambdas),
          count_records=records)
     expected = "\n".join(json.dumps(r) for r in records) + "\n"
     assert (tmp_path / "vqe_n2_counts.jsonl").read_text() == expected

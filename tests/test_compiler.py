@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import _full_op
 
@@ -18,7 +19,7 @@ from deuteronvqe.compiler import (
     unitary_equivalent,
     unitary_of,
 )
-from deuteronvqe.simulator import FoldSpec, fold_circuit
+from deuteronvqe.simulator import FoldSpec, fold_circuit, run_ideal, zero_state
 
 CX_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -54,7 +55,9 @@ def test_apply_matrix_matches_full_operator(n, rows, dtype):
 
 def test_shared_gate_constants_are_read_only():
     assert np.array_equal(PAULI_XX, np.kron(PAULI["X"], PAULI["X"]))
-    for table in (PAULI_XX, PAULI["X"], PAULI["Y"]):
+    fixed_gates = [m for _, m in LogicalCircuit.GATES.values() if not callable(m)]
+    assert len(fixed_gates) == 2  # prep_excite and cx
+    for table in (PAULI_XX, PAULI["X"], PAULI["Y"], *fixed_gates):
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
     # a gate matrix is the caller's own: writing into it leaves the constants alone
@@ -249,3 +252,32 @@ def test_gate_angle_validation():
         LogicalCircuit(2, [Gate("cx", (1, 0), 0.3)])
     with pytest.raises(ValueError, match="angle"):
         LogicalCircuit(2, [Gate("cry", (0, 1))])
+
+
+@st.composite
+def native_circuits(draw, max_qubits=4, max_gates=12):
+    n = draw(st.integers(1, max_qubits))
+    angles = st.floats(-4.0, 4.0, allow_nan=False)
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        if n >= 2 and draw(st.booleans()):
+            pair = tuple(draw(st.permutations(range(n)))[:2])  # both XX qubit orders
+            gates.append(Gate("xx", pair, draw(angles)))
+        else:
+            kind = draw(st.sampled_from(["rx", "ry", "rz"]))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), draw(angles)))
+    return NativeCircuit(n, gates)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(native_circuits())
+def test_one_circuit_walk_properties(circ):
+    # the statevector and unitary engines share `Circuit.apply`; JSON and
+    # folding keep the circuit's class, gates and ideal unitary
+    n = circ.n_qubits
+    u = unitary_of(circ)
+    assert np.abs(run_ideal(circ, zero_state(n)).amplitudes - u[:, 0]).max() < 1e-12
+    back = NativeCircuit.from_json(circ.to_json())
+    assert type(back) is NativeCircuit and back.n_qubits == n and back.gates == circ.gates
+    for m in range(4):
+        assert unitary_equivalent(unitary_of(fold_circuit(circ, FoldSpec(m))), u)

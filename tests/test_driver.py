@@ -132,6 +132,19 @@ def test_vqe_noisy_optimize_mechanics():
     assert [r.lambdas for r in a.trace] == [r.lambdas for r in b.trace]
 
 
+def test_noisy_vqe_reports_a_fresh_draw():
+    # the reported evaluation has its own shot stream: it replays exactly, and
+    # it is not the search's (trace-minimum) value at the reported point
+    cfg = RunConfig(n_states=3, shots=10_000, seed=3, max_evals=20)
+    a, b = vqe_run(cfg), vqe_run(cfg)
+    assert (a.zne.intercept, a.zne.intercept_sigma) == (b.zne.intercept, b.zne.intercept_sigma)
+    *search, closing = a.trace
+    assert closing.lambdas == a.params.lambdas and closing.intercept == a.zne.intercept
+    at_best = [r.intercept for r in search if r.lambdas == a.params.lambdas]
+    assert at_best and at_best[0] == min(r.intercept for r in search)
+    assert a.zne.intercept not in at_best
+
+
 def test_nelder_mead_quadratic_bowl():
     calls = []
 

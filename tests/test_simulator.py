@@ -116,14 +116,14 @@ def _random_native(rng, n, n_gates):
     return _native(n, gates)
 
 
-def test_trajectory_zero_noise_equals_ideal():
+def test_density_zero_noise_equals_ideal():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
     ideal = run_ideal(circ, zero_state(2)).amplitudes
     rho = run_density(circ, NoiseModel(0.0, 0.0))
     assert np.allclose(np.outer(ideal, ideal.conj()), rho, atol=1e-12)
 
 
-def test_trajectory_deterministic_in_seed():
+def test_density_and_draw_deterministic_in_seed():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)] * 3)
     noise = NoiseModel(0.2, 0.3)
     assert np.array_equal(run_density(circ, noise), run_density(circ, noise))
@@ -134,7 +134,7 @@ def test_trajectory_deterministic_in_seed():
                               sample_shots_noisy(circ, None, 10_000, noise, seed=6))
 
 
-def test_trajectory_states_remain_pure():
+def test_density_stays_physical():
     # the channel keeps rho Hermitian, unit-trace and positive semidefinite
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
     rho = run_density(circ, NoiseModel(0.5, 0.5))
@@ -143,7 +143,7 @@ def test_trajectory_states_remain_pure():
     assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
-def test_trajectory_average_matches_channel_oracle():
+def test_density_matches_channel_oracle_two_qubits():
     # 2-qubit circuit, depolarizing XX noise, against the exact channel
     circ = _native(2, [Gate("ry", (0,), 1.1), Gate("xx", (0, 1), 0.9), Gate("rx", (1,), 0.4)])
     p1, p2 = 0.02, 0.01
@@ -194,20 +194,20 @@ def test_noise_shrinks_term_magnitudes_with_r(pauli_h2):
         assert all(series[i + 1] <= series[i] + 1e-12 for i in range(3)), (w, series)
 
 
-def test_sample_counts_deterministic_state():
+def test_sample_shots_noisy_basis_state():
     circ = _native(2, [Gate("rx", (0,), math.pi)])  # |10> up to phase
     counts = sample_shots_noisy(circ, None, 100, NoiseModel(0, 0, (np.eye(2), np.eye(2))), seed=4)
     assert histogram_dict(counts) == {"10": 100}
 
 
-def test_sample_counts_full_flip():
+def test_sample_shots_noisy_full_readout_flip():
     circ = _native(2, [Gate("rx", (0,), math.pi)])
     readout = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     counts = sample_shots_noisy(circ, None, 50, NoiseModel(0, 0, readout), seed=4)
     assert histogram_dict(counts) == {"00": 50}
 
 
-def test_sample_counts_binomial_bound():
+def test_sample_shots_noisy_binomial_bound():
     n = 3
     circ = _native(n, [Gate("ry", (q,), math.pi / 2) for q in range(n)])  # uniform superposition
     shots = 100_000
@@ -220,7 +220,7 @@ def test_sample_counts_binomial_bound():
         assert abs(freq - p) <= bound
 
 
-def test_sample_counts_basis_rotation():
+def test_sample_shots_noisy_basis_rotation():
     # |+> measured in the x basis is deterministic
     plus = _native(1, [Gate("ry", (0,), math.pi / 2)])
     counts = sample_shots_noisy(plus, basis_rotation_circuit("x", 1), 200, NoiseModel(0, 0, ()), seed=0)
@@ -267,7 +267,7 @@ def test_fold_spec_validation():
     assert FoldSpec(3).r == 7
 
 
-def test_trajectory_batch_memory_guard():
+def test_density_memory_guard():
     # 4^14 entries is past the guard; it must refuse before allocating
     circ = _native(14, [Gate("rx", (0,), 0.1)])
     tracemalloc.start()

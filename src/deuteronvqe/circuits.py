@@ -114,8 +114,8 @@ class Gate:
             raise ConfigError(f"repeated qubit in {self.kind}{self.qubits}")
 
 
-def _is_a(value, types) -> bool:
-    """`isinstance` that does not count JSON true/false as numbers."""
+def is_a(value, types) -> bool:
+    """`isinstance` that does not count true/false as numbers."""
     return isinstance(value, types) and not isinstance(value, bool)
 
 
@@ -191,13 +191,13 @@ class Circuit:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"circuit JSON line {exc.lineno} col {exc.colno}: {exc.msg}")
-        if (not isinstance(doc, dict) or not _is_a(doc.get("n_qubits"), int)
+        if (not isinstance(doc, dict) or not is_a(doc.get("n_qubits"), int)
                 or doc["n_qubits"] < 1 or not isinstance(doc.get("gates"), list)):
             raise ConfigError("a circuit needs a positive integer n_qubits and a list of gates")
         for r in doc["gates"]:
             if (not isinstance(r, dict) or not isinstance(r.get("gate"), str)
-                    or not isinstance(r.get("q"), list) or not all(_is_a(q, int) for q in r["q"])
-                    or not _is_a(r.get("angle"), (int, float, type(None)))):
+                    or not isinstance(r.get("q"), list) or not all(is_a(q, int) for q in r["q"])
+                    or not is_a(r.get("angle"), (int, float, type(None)))):
                 raise ConfigError(f"gate record {r!r} needs a kind string, a list of integer "
                                   "qubits and a numeric angle if any")
         return cls(doc["n_qubits"], [Gate(r["gate"], tuple(r["q"]), r.get("angle"))

@@ -1,7 +1,8 @@
 """Command-line front end for the whole pipeline.
 
 Commands: ham, ansatz, transpile, simulate, zne, vqe, scan, report.
-A flat JSON config file may pre-fill any flag (CLI values win).  Exit codes:
+A flat JSON config file may pre-fill any flag: its values are parsed as the
+flags they name, and flags typed on the command line win.  Exit codes:
 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
 """
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .driver import (
     landscape_scan,
     vqe_run,
 )
-from .estimator import ZnePoint, ZneSeries, basis_rotation_circuit, histogram_dict, richardson_extrapolate
+from .estimator import (BASIS_LABELS, FIT_KINDS, ZnePoint, ZneSeries, basis_rotation_circuit,
+                        histogram_dict, richardson_extrapolate)
 from .hamiltonian import (
     DEFAULT_HBAR_OMEGA,
     DEFAULT_V0,
@@ -66,18 +68,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind=float) -> tuple:
+    """A comma list of `kind` values; empty entries are skipped."""
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return tuple(kind(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
-        raise CliError(f"cannot parse float list {text!r}: {exc}", EXIT_USAGE)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise CliError(f"cannot parse integer list {text!r}: {exc}", EXIT_USAGE)
+        raise CliError(f"cannot parse {kind.__name__} list {text!r}: {exc}", EXIT_USAGE)
 
 
 def _write(path: Path, text: str):
@@ -95,23 +91,23 @@ def _read(path: Path) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
-
-
 def _noise_from_args(args, n_qubits: int) -> NoiseModel:
     return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
                                    readout_eps=args.readout_eps)
 
 
+def _hamiltonian(args, n: int):
+    return build_oscillator_hamiltonian(EftConfig(n, args.hbar_omega, args.v0))
+
+
 def _check_common(args):
-    """Range checks on the shared flags, set on the command line or by --config alike."""
+    """Range checks, naming the flag, on shared flags that argparse has typed."""
     for dest in ("p1", "p2", "readout_eps"):
         value = getattr(args, dest)
-        if not (type(value) in (int, float) and 0 <= value <= 1):
+        if not 0 <= value <= 1:
             raise CliError(f"--{dest.replace('_', '-')} must be in [0, 1], got {value!r}", EXIT_USAGE)
     low = 1 if args.command == "simulate" else 0
-    if not (type(args.shots) is int and args.shots >= low):
+    if args.shots < low:
         raise CliError(f"{args.command} needs --shots >= {low}, got {args.shots!r}", EXIT_USAGE)
 
 
@@ -120,7 +116,7 @@ def _run_config(args, lambdas=None) -> RunConfig:
         n_states=args.n,
         lambdas=lambdas,
         shots=args.shots,
-        fold_levels=_parse_ints(args.fold),
+        fold_levels=_parse_list(args.fold, int),
         noise=_noise_from_args(args, args.n),
         seed=args.seed,
         fit=args.fit,
@@ -133,9 +129,7 @@ def _run_config(args, lambdas=None) -> RunConfig:
 
 def _artifact(args, outputs: dict[str, Path]) -> dict:
     """Replay record: config snapshot, content hashes, seeds, timestamps."""
-    hashes = {}
-    for name, path in outputs.items():
-        hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    hashes = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
     snapshot = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     return {
         "version": __version__,
@@ -147,9 +141,8 @@ def _artifact(args, outputs: dict[str, Path]) -> dict:
 
 
 def cmd_ham(args) -> int:
-    cfg = EftConfig(args.n, args.hbar_omega, args.v0)
-    h = build_oscillator_hamiltonian(cfg)
-    out = _out_dir(args)
+    h = _hamiltonian(args, args.n)
+    out = Path(args.out)
     files = {"oscillator": out / f"h{args.n}_oscillator.json"}
     _write(files["oscillator"], h.to_json())
     print(f"oscillator matrix ({h.dim}x{h.dim}) -> {files['oscillator']}")
@@ -162,23 +155,22 @@ def cmd_ham(args) -> int:
     return 0
 
 
-def _lambdas_for(args, n: int) -> tuple[float, ...]:
-    if args.lambdas is not None:
-        lam = _parse_floats(args.lambdas)
-        if len(lam) != n - 1:
-            raise CliError(f"{n} states need {n - 1} angles, got {len(lam)}", EXIT_USAGE)
-        return lam
-    h = build_oscillator_hamiltonian(EftConfig(n, args.hbar_omega, args.v0))
-    params, _ = optimal_parameters(h)
-    return params.lambdas
+def _lambdas_for(args) -> tuple[float, ...]:
+    """--lambdas, checked against --n; the exact optimum when it is not given."""
+    if args.lambdas is None:
+        return optimal_parameters(_hamiltonian(args, args.n))[0].lambdas
+    lam = _parse_list(args.lambdas)
+    if len(lam) != args.n - 1:
+        raise CliError(f"{args.n} states need {args.n - 1} angles, got {len(lam)}", EXIT_USAGE)
+    return lam
 
 
 def cmd_ansatz(args) -> int:
-    lam = _lambdas_for(args, args.n)
+    lam = _lambdas_for(args)
     params = HypersphericalParams(lam)
     circ = build_ansatz_circuit(args.n, params)
-    h = build_oscillator_hamiltonian(EftConfig(args.n, args.hbar_omega, args.v0))
-    out = _out_dir(args)
+    h = _hamiltonian(args, args.n)
+    out = Path(args.out)
     files = {"circuit": out / f"c{args.n}_logical.json"}
     _write(files["circuit"], circ.to_json())
     amps = amplitudes(params)
@@ -194,17 +186,13 @@ def cmd_transpile(args) -> int:
     if args.circuit:
         logical = LogicalCircuit.from_json(_read(Path(args.circuit)))
     else:
-        lam = _lambdas_for(args, args.n)
-        logical = build_ansatz_circuit(args.n, HypersphericalParams(lam))
+        logical = build_ansatz_circuit(args.n, HypersphericalParams(_lambdas_for(args)))
     native = transpile(logical)
     if args.optimize:
         native = optimize_native(native)
-    if logical.n_qubits <= 10:
-        ok = unitary_equivalent(unitary_of(logical), unitary_of(native))
-        if not ok:
-            raise CliError("transpiled circuit failed the unitary equivalence check",
-                           EXIT_NUMERICAL)
-    out = _out_dir(args)
+    if logical.n_qubits <= 10 and not unitary_equivalent(unitary_of(logical), unitary_of(native)):
+        raise CliError("transpiled circuit failed the unitary equivalence check", EXIT_NUMERICAL)
+    out = Path(args.out)
     files = {"native": out / "native_circuit.json"}
     _write(files["native"], native.to_json())
     print(f"xx_count: {native.xx_count()}")
@@ -225,7 +213,7 @@ def cmd_simulate(args) -> int:
     counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
     record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed,
               "r": 2 * args.fold_m + 1}
-    out = _out_dir(args)
+    out = Path(args.out)
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
     _write(files["counts"], json.dumps(record))
     print(f"histogram ({args.shots} shots, basis {args.basis}, r={record['r']}) -> {files['counts']}")
@@ -236,13 +224,11 @@ def cmd_simulate(args) -> int:
 def cmd_zne(args) -> int:
     points = []
     for chunk in args.series.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise CliError(f"series entries must be r:value:sigma, got {chunk!r}", EXIT_USAGE)
         try:
-            points.append(ZnePoint(int(parts[0]), float(parts[1]), float(parts[2])))
+            r, value, sigma = chunk.split(":")
+            points.append(ZnePoint(int(r), float(value), float(sigma)))
         except ValueError as exc:
-            raise CliError(f"cannot parse series entry {chunk!r}: {exc}", EXIT_USAGE)
+            raise CliError(f"series entries must be r:value:sigma, got {chunk!r}: {exc}", EXIT_USAGE)
     try:
         series = ZneSeries(points)
         result = richardson_extrapolate(series, args.fit, weighted=not args.unweighted)
@@ -254,14 +240,11 @@ def cmd_zne(args) -> int:
 
 
 def cmd_vqe(args) -> int:
-    lam = _parse_floats(args.lambdas) if args.lambdas else None
-    if lam is not None and len(lam) != args.n - 1:
-        raise CliError(f"{args.n} states need {args.n - 1} angles", EXIT_USAGE)
-    cfg = _run_config(args, lambdas=lam)
+    cfg = _run_config(args, lambdas=None if args.lambdas is None else _lambdas_for(args))
     # raw per-(r, setting) counts of the reported evaluation
     records: list[dict] | None = [] if args.shots > 0 else None
     result = vqe_run(cfg, count_records=records)
-    out = _out_dir(args)
+    out = Path(args.out)
     files = {}
     if records is not None:
         counts_path = out / f"vqe_n{args.n}_counts.jsonl"
@@ -301,12 +284,9 @@ def cmd_scan(args) -> int:
     except ValueError:
         raise CliError(f"--vary must be lambda0/lambda1/... or an index, got {args.vary!r}",
                        EXIT_USAGE)
-    values = _parse_floats(args.values)
-    fixed = _lambdas_for(args, args.n)
-    cfg = _run_config(args)
-    spec = ScanSpec(index, values, fixed)
-    rows = landscape_scan(cfg, spec)
-    out = _out_dir(args)
+    spec = ScanSpec(index, _parse_list(args.values), _lambdas_for(args))
+    rows = landscape_scan(_run_config(args), spec)
+    out = Path(args.out)
     csv_path = out / f"scan_n{args.n}_{args.vary}.csv"
     header = [f"lambda{i}" for i in range(args.n - 1)] + ["experiment", "experiment_sigma", "theory"]
     lines = [",".join(header)]
@@ -316,15 +296,14 @@ def cmd_scan(args) -> int:
             + [f"{row.zne.intercept:.6f}", f"{row.zne.intercept_sigma:.6f}", f"{row.theory:.6f}"]
         ))
     _write(csv_path, "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     files = {"csv": csv_path}
     _write(out / f"scan_n{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
     return 0
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     files = {}
     results = {}
     if args.results:
@@ -332,10 +311,8 @@ def cmd_report(args) -> int:
             doc = json.loads(_read(Path(path)))
             results[int(doc["n_states"])] = (float(doc["energy"]), float(doc["sigma"]))
     else:
-        for n in _parse_ints(args.ns):
-            h = build_oscillator_hamiltonian(EftConfig(n, args.hbar_omega, args.v0))
-            _, energy = optimal_parameters(h)
-            results[n] = (energy, 0.0)
+        for n in _parse_list(args.ns, int):
+            results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
     report = convergence_report(results, args.hbar_omega, args.v0)
     csv_path = out / "convergence.csv"
     lines = ["platform,n_states,energy,sigma"]
@@ -373,13 +350,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--p2", type=float, default=DEFAULT_P2)
     p.add_argument("--readout-eps", type=float, default=DEFAULT_READOUT_FLIP, dest="readout_eps")
     p.add_argument("--fold", type=str, default="0,1,2,3", help="comma list of fold levels m")
-    p.add_argument("--fit", choices=("linear", "quadratic"), default="linear")
+    p.add_argument("--fit", choices=FIT_KINDS, default=FIT_KINDS[0])
     p.add_argument("--unweighted", action="store_true")
     p.add_argument("--per-term", action="store_true", dest="per_term",
                    help="extrapolate each Hamiltonian term separately")
     p.add_argument("--out", type=str, default="out", help="output directory")
     p.add_argument("--config", type=str, default=None,
-                   help="flat JSON file pre-filling any flag (CLI overrides)")
+                   help="flat JSON file pre-filling any flag (typed flags override)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -412,7 +389,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = commands["simulate"] = sub.add_parser("simulate", help="sample a native circuit")
     _add_common(p)
     p.add_argument("--circuit", type=str, required=True, help="native circuit JSON")
-    p.add_argument("--basis", choices=("z", "x", "y"), default="z")
+    p.add_argument("--basis", choices=BASIS_LABELS, default=BASIS_LABELS[0])
     p.add_argument("--fold-m", type=int, default=0, dest="fold_m")
     p.set_defaults(func=cmd_simulate)
 
@@ -442,8 +419,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _apply_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[str]):
-    """Pre-fill subcommand defaults from a flat JSON file; CLI flags still win."""
+def _with_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """argv with a flat JSON file's values spliced in as flags after the subcommand,
+    so that they parse as typed flags do and typed flags win.  `true` is the bare
+    flag, `false` and `null` are left out, a list is the flag and its items, and any
+    other value is `--flag=value`, so that a value like -5.7 is not read as an option."""
     # a pre-parse finds `--config FILE` and `--config=FILE` as argparse will
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
@@ -452,7 +432,7 @@ def _apply_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[
     except argparse.ArgumentError:
         raise CliError("--config needs a file path", EXIT_USAGE)
     if path is None:
-        return
+        return argv
     try:
         values = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -461,22 +441,32 @@ def _apply_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[
         raise CliError(f"config {path} line {exc.lineno} col {exc.colno}: {exc.msg}", EXIT_USAGE)
     if not isinstance(values, dict):
         raise CliError(f"config {path} must be a flat JSON object", EXIT_USAGE)
-    command = argv[0]
-    if command in commands:
-        values = {k.replace("-", "_"): v for k, v in values.items()}
-        known = {a.dest for a in commands[command]._actions} - {"help"} | {"command"}
-        unknown = sorted(set(values) - known)
-        if unknown:
-            raise CliError(f"config {path}: unknown key(s) {', '.join(unknown)}", EXIT_USAGE)
-        commands[command].set_defaults(**values)
+    if argv[0] not in commands:
+        return argv
+    values = {k.replace("-", "_"): v for k, v in values.items()}
+    flags = {a.dest: a.option_strings[0] for a in commands[argv[0]]._actions if a.dest != "help"}
+    unknown = sorted(set(values) - set(flags) - {"command"})
+    if unknown:
+        raise CliError(f"config {path}: unknown key(s) {', '.join(unknown)}", EXIT_USAGE)
+    tokens = []
+    for dest, value in values.items():
+        if dest == "command" or value is None or value is False:
+            continue
+        flag = flags[dest]
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config_file(commands, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_file(commands, argv))
         _check_common(args)
         return args.func(args)
     except CliError as exc:

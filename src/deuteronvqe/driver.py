@@ -25,6 +25,7 @@ values too, so each row gets its own stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,9 +38,10 @@ from .ansatz import (
     energy_expectation_exact,
     optimal_parameters,
 )
-from .circuits import ConfigError, NativeCircuit
+from .circuits import ConfigError, NativeCircuit, is_a
 from .compiler import optimize_native, transpile
 from .estimator import (
+    FIT_KINDS,
     ZnePoint,
     ZneResult,
     ZneSeries,
@@ -88,7 +90,7 @@ class RunConfig:
     fold_levels: tuple[int, ...] = (0, 1, 2, 3)
     noise: NoiseModel | None = None
     seed: int = 0
-    fit: str = "linear"
+    fit: str = FIT_KINDS[0]
     weighted: bool = True
     per_term: bool = False
     convention: AngleConvention = RESOLVED_CONVENTION
@@ -97,12 +99,20 @@ class RunConfig:
     max_evals: int = 200
 
     def __post_init__(self):
-        if self.n_states < 2:
-            raise ConfigError("pipeline runs need n_states >= 2")
-        if not self.fold_levels or any(m < 0 for m in self.fold_levels):
-            raise ConfigError("fold levels must be a non-empty list of m >= 0")
-        if self.shots < 0:
-            raise ConfigError("shots must be >= 0 (0 selects exact mode)")
+        def count(value) -> bool:  # numpy integers count, true/false do not
+            return is_a(value, numbers.Integral) and value >= 0
+
+        if not count(self.n_states) or self.n_states < 2:
+            raise ConfigError(f"pipeline runs need an integer n_states >= 2, got {self.n_states!r}")
+        if not self.fold_levels or not all(count(m) for m in self.fold_levels):
+            raise ConfigError(f"fold levels must be a non-empty list of integers m >= 0, "
+                              f"got {self.fold_levels!r}")
+        if not count(self.shots):
+            raise ConfigError(f"shots must be an integer >= 0 (0 selects exact mode), got {self.shots!r}")
+        if not count(self.seed):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.fit not in FIT_KINDS:
+            raise ConfigError(f"fit must be one of {', '.join(FIT_KINDS)}, got {self.fit!r}")
         if self.noise is None:
             self.noise = NoiseModel.ion_defaults(self.n_states)
 
@@ -162,11 +172,9 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
         probs = {s.basis: run_ideal(basis_rotation_circuit(s.basis, cfg.n_states), state)
                  .probabilities() for s in settings}
         energy, _ = energy_estimate(pauli, probs)
-        points = [ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))]
-        series = ZneSeries(points)
-        if len(points) == 1:
-            return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
-        return series, richardson_extrapolate(series, cfg.fit, cfg.weighted)
+        # the ideal state does not depend on the fold level: nothing to extrapolate
+        series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
+        return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
     points = []
     per_term_series: dict[str, list[tuple[int, float, float]]] = {}

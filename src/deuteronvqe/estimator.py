@@ -31,7 +31,12 @@ import numpy as np
 from .circuits import Gate, NativeCircuit, apply_matrix, frozen
 from .hamiltonian import PauliHamiltonian
 
-BASIS_LABELS = ("z", "x", "y")
+# pre-measurement rotations mapping each basis onto Z:
+# RY(-pi/2)^dag Z RY(-pi/2) = X and RX(pi/2)^dag Z RX(pi/2) = Y
+_BASIS_ROTATIONS = {"z": (), "x": (("ry", -math.pi / 2),), "y": (("rx", math.pi / 2),)}
+BASIS_LABELS = tuple(_BASIS_ROTATIONS)
+# Richardson fit kinds; the polynomial degree is the position in this tuple plus one
+FIT_KINDS = ("linear", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,8 @@ class ZneResult:
 
 def _word_basis(word: str) -> str | None:
     letters = set(word) - {"I"}
-    if not letters:
-        return None
-    if letters == {"Z"}:
-        return "z"
-    if letters == {"X"}:
-        return "x"
-    if letters == {"Y"}:
-        return "y"
-    return None
+    basis = letters.pop().lower() if len(letters) == 1 else None
+    return basis if basis in _BASIS_ROTATIONS else None
 
 
 def measurement_settings(h: PauliHamiltonian) -> list[MeasurementSetting]:
@@ -104,11 +102,9 @@ def measurement_settings(h: PauliHamiltonian) -> list[MeasurementSetting]:
 
 def basis_rotation_circuit(basis: str, n_qubits: int) -> NativeCircuit:
     """Pre-measurement rotations mapping the given basis onto Z."""
-    # RY(-pi/2)^dag Z RY(-pi/2) = X and RX(pi/2)^dag Z RX(pi/2) = Y
-    rotation = {"z": (), "x": (("ry", -math.pi / 2),), "y": (("rx", math.pi / 2),)}
-    if basis not in rotation:
+    if basis not in _BASIS_ROTATIONS:
         raise ValueError(f"unknown basis {basis!r}")
-    return NativeCircuit(n_qubits, [Gate(kind, (q,), angle) for kind, angle in rotation[basis]
+    return NativeCircuit(n_qubits, [Gate(kind, (q,), angle) for kind, angle in _BASIS_ROTATIONS[basis]
                                     for q in range(n_qubits)])
 
 
@@ -232,16 +228,16 @@ def polynomial_fit(x, y, sigma, deg: int,
     return coef, cov, use_weights
 
 
-def richardson_extrapolate(series: ZneSeries, kind: str = "linear",
+def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
                            weighted: bool = True) -> ZneResult:
     """Weighted polynomial fit of value against r, evaluated at r = 0.
 
     Falls back to an unweighted fit (flagged in the result) when any sigma
     is non-positive.
     """
-    if kind not in ("linear", "quadratic"):
+    if kind not in FIT_KINDS:
         raise ValueError(f"unknown fit kind {kind!r}")
-    deg = 1 if kind == "linear" else 2
+    deg = FIT_KINDS.index(kind) + 1
     pts = series.points
     if len(pts) < deg + 1:
         raise ValueError(f"{kind} fit needs at least {deg + 1} points, got {len(pts)}")

@@ -20,12 +20,13 @@ Reproducibility: every histogram takes an explicit seed and draws from
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, frozen
+from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, frozen, is_a
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
@@ -58,8 +59,8 @@ class NoiseModel:
     readout: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
-            raise ConfigError("Pauli rates must lie in [0, 1]")
+        if not all(is_a(p, numbers.Real) and 0.0 <= p <= 1.0 for p in (self.p1, self.p2)):
+            raise ConfigError(f"Pauli rates must be numbers in [0, 1], got {self.p1!r}, {self.p2!r}")
         mats = []
         for m in self.readout:
             m = np.asarray(m, dtype=float)
@@ -87,8 +88,8 @@ class FoldSpec:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ConfigError("fold level m must be non-negative")
+        if not is_a(self.m, numbers.Integral) or self.m < 0:
+            raise ConfigError(f"fold level m must be an integer >= 0, got {self.m!r}")
 
     @property
     def r(self) -> int:

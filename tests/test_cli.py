@@ -303,3 +303,28 @@ def test_artifact_config_replays_bit_exactly(tmp_path):
     assert run_cli("vqe", "--config", str(cfg_file)) == 0
     for name in ("vqe_n2_summary.json", "vqe_n2_trace.jsonl", "vqe_n2_counts.jsonl"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("vqe", {"n": 2.5}),
+    ("vqe", {"seed": 1.5}),
+    ("simulate", {"fold_m": 1.5}),
+    ("vqe", {"fit": "cubic"}),
+    ("simulate", {"basis": "w"}),
+    ("vqe", {"unweighted": "yes"}),
+    ("vqe", {"per_term": 1}),
+])
+def test_ill_typed_config_value_is_usage_error(tmp_path, command, values):
+    # config values parse as the flags they name, so argparse rejects them
+    # exactly as it rejects a typed flag
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(NativeCircuit(2, [Gate("xx", (0, 1), 0.5)]).to_json())
+    # simulate's required --circuit is typed, so the config value alone is at fault
+    extra = ["--circuit", str(circuit)] if command == "simulate" else []
+    base = {"shots": 10} if command == "simulate" else {"shots": 10, "n": 2, "lambdas": "0.59"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, **values}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", str(cfg), *extra, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert not any(tmp_path.glob("*_artifact.json"))

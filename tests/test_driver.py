@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deuteronvqe.ansatz import HypersphericalParams, energy_expectation_exact, optimal_parameters
+from deuteronvqe.circuits import ConfigError
 from deuteronvqe.driver import (
     ConcaveFitError,
     RunConfig,
@@ -30,6 +31,13 @@ def test_run_config_validation():
         RunConfig(n_states=3, fold_levels=())
     with pytest.raises(ValueError):
         RunConfig(n_states=3, shots=-1)
+    # ill-typed settings are ConfigErrors up front, not failures at the first fit
+    for bad in ({"shots": 2.5}, {"shots": True}, {"fold_levels": (0.5, 1)}, {"fit": "cubic"},
+                {"n_states": 2.5}, {"seed": 1.5}):
+        with pytest.raises(ConfigError):
+            RunConfig(**{"n_states": 3, **bad})
+    # numpy integers are integers
+    assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fold_levels=(np.int32(0),)).shots == 5
     cfg = RunConfig(n_states=3)
     assert cfg.noise.p2 == 0.0075
 
@@ -41,6 +49,19 @@ def test_zne_exact_mode_matches_analytic(h3):
     analytic = energy_expectation_exact(HypersphericalParams(lam), h3)
     assert res.intercept == pytest.approx(analytic, abs=1e-9)
     assert all(p.value == pytest.approx(analytic, abs=1e-9) for p in series.points)
+
+
+@pytest.mark.parametrize("fit, folds", [("linear", (0, 1, 2, 3)), ("quadratic", (0, 1))])
+def test_zne_exact_mode_has_nothing_to_extrapolate(h3, fit, folds):
+    # the ideal state does not depend on the fold level, so no fit runs: a
+    # quadratic fit through two levels is not underdetermined here
+    lam = (0.7609, 0.7044)
+    cfg = RunConfig(n_states=3, lambdas=lam, shots=0, fit=fit, fold_levels=folds)
+    series, res = zne_energy(cfg, HypersphericalParams(lam))
+    energy = series.points[0].value
+    assert [p.r for p in series.points] == [2 * m + 1 for m in folds]
+    assert all(p.value == energy and p.sigma == 0.0 for p in series.points)
+    assert res == ZneResult(energy, 0.0, 0.0, fit, weighted=False)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -7,7 +7,7 @@ import pytest
 from conftest import evolve_density
 
 from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit, one_hot_embedding
-from deuteronvqe.circuits import Gate, NativeCircuit
+from deuteronvqe.circuits import ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
@@ -256,6 +256,10 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         # rows sum to one, but the entries are not probabilities
         NoiseModel.ion_defaults(2, readout_eps=2.0)
+    for bad in ({"p1": "0.1"}, {"p2": None}, {"p1": float("nan")}):
+        with pytest.raises(ConfigError):
+            NoiseModel(**bad)
+    assert NoiseModel(p1=np.float32(0.25)).p1 == 0.25
     model = NoiseModel.ion_defaults(3)
     assert model.p1 == 0.005 and model.p2 == 0.0075
     assert np.allclose(model.readout[0], flip_matrix(0.0074))
@@ -264,7 +268,11 @@ def test_noise_model_validation():
 def test_fold_spec_validation():
     with pytest.raises(ValueError):
         FoldSpec(-1)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ConfigError):
+            FoldSpec(bad)
     assert FoldSpec(3).r == 7
+    assert FoldSpec(np.int64(2)).r == 5
 
 
 def test_density_memory_guard():

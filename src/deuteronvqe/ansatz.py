@@ -36,28 +36,33 @@ from .refdata import LANDSCAPE_N4
 
 CONVENTION_TOLERANCE = 5e-3
 
+# convention base -> (g, its inverse), on arrays of angles
+CONVENTION_BASES = {
+    "identity": (lambda x: x, lambda phi: phi),
+    "half": (lambda x: x / 2, lambda phi: 2 * phi),
+    "complement": (lambda x: math.pi / 2 - x, lambda phi: math.pi / 2 - phi),
+}
+
 
 @dataclass(frozen=True)
 class AngleConvention:
     """Map from published parameter values to effective amplitude angles:
     g(l) = base(sign * l), applied after optional index reversal."""
 
-    base: str = "half"  # "identity" | "half" | "complement"
+    base: str = "half"  # a key of CONVENTION_BASES
     sign: int = 1
     reversed: bool = False
+
+    def __post_init__(self):
+        if self.base not in CONVENTION_BASES or self.sign not in (1, -1):
+            raise ConfigError(f"convention base must be one of {', '.join(CONVENTION_BASES)} "
+                              f"and sign 1 or -1, got {self.base!r}, {self.sign!r}")
 
     def effective_angles(self, lambdas) -> np.ndarray:
         lam = np.asarray(lambdas, dtype=float)
         if self.reversed:
             lam = lam[::-1]
-        lam = self.sign * lam
-        if self.base == "identity":
-            return lam
-        if self.base == "half":
-            return lam / 2
-        if self.base == "complement":
-            return math.pi / 2 - lam
-        raise ValueError(f"unknown convention base {self.base!r}")
+        return CONVENTION_BASES[self.base][0](self.sign * lam)
 
     @property
     def name(self) -> str:
@@ -71,7 +76,7 @@ RESOLVED_CONVENTION = AngleConvention(base="half")
 
 CANDIDATE_CONVENTIONS = tuple(
     AngleConvention(base=b, sign=s, reversed=r)
-    for b in ("identity", "half", "complement")
+    for b in CONVENTION_BASES
     for s in (1, -1)
     for r in (False, True)
 )
@@ -161,15 +166,7 @@ def parameters_from_amplitudes(
         phis[k] = math.atan2(tail, a[k])
     if n >= 2:
         phis[n - 2] = math.atan2(a[n - 1], a[n - 2])
-    if convention.base == "identity":
-        lam = phis
-    elif convention.base == "half":
-        lam = 2 * phis
-    elif convention.base == "complement":
-        lam = math.pi / 2 - phis
-    else:
-        raise ValueError(f"unknown convention base {convention.base!r}")
-    lam = convention.sign * lam
+    lam = convention.sign * CONVENTION_BASES[convention.base][1](phis)
     if convention.reversed:
         lam = lam[::-1]
     return HypersphericalParams(tuple(float(v) for v in lam))

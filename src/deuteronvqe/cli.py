@@ -1,9 +1,12 @@
 """Command-line front end for the whole pipeline.
 
-Commands: ham, ansatz, transpile, simulate, zne, vqe, scan, report.
-A flat JSON config file may pre-fill any flag: its values are parsed as the
-flags they name, and flags typed on the command line win.  Exit codes:
-0 success, 2 usage error, 3 numerical failure, 4 I/O error.
+Commands: ham, ansatz, transpile, simulate, zne, vqe, scan, report.  The
+surface is data: `FLAGS` spells each flag once, and `COMMANDS` names each
+command's handler, the flags it reads (and no others) and its replay artifact,
+which `main` writes.  argparse checks types, choices and ranges, with no
+abbreviations.  A flat JSON config file may pre-fill any flag of its command:
+its values are parsed as the flags they name, and flags typed on the command
+line win.  Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,14 +32,8 @@ from .ansatz import (
 )
 from .circuits import ConfigError, LogicalCircuit, NativeCircuit
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
-from .driver import (
-    ConcaveFitError,
-    RunConfig,
-    ScanSpec,
-    convergence_report,
-    landscape_scan,
-    vqe_run,
-)
+from .driver import (ConcaveFitError, RunConfig, ScanSpec, convergence_report, landscape_scan,
+                     vqe_run)
 from .estimator import (BASIS_LABELS, FIT_KINDS, ZnePoint, ZneSeries, basis_rotation_circuit,
                         histogram_dict, richardson_extrapolate)
 from .hamiltonian import (
@@ -91,24 +89,8 @@ def _read(path: Path) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
-def _noise_from_args(args, n_qubits: int) -> NoiseModel:
-    return NoiseModel.ion_defaults(n_qubits, p1=args.p1, p2=args.p2,
-                                   readout_eps=args.readout_eps)
-
-
 def _hamiltonian(args, n: int):
     return build_oscillator_hamiltonian(EftConfig(n, args.hbar_omega, args.v0))
-
-
-def _check_common(args):
-    """Range checks, naming the flag, on shared flags that argparse has typed."""
-    for dest in ("p1", "p2", "readout_eps"):
-        value = getattr(args, dest)
-        if not 0 <= value <= 1:
-            raise CliError(f"--{dest.replace('_', '-')} must be in [0, 1], got {value!r}", EXIT_USAGE)
-    low = 1 if args.command == "simulate" else 0
-    if args.shots < low:
-        raise CliError(f"{args.command} needs --shots >= {low}, got {args.shots!r}", EXIT_USAGE)
 
 
 def _run_config(args, lambdas=None) -> RunConfig:
@@ -117,7 +99,7 @@ def _run_config(args, lambdas=None) -> RunConfig:
         lambdas=lambdas,
         shots=args.shots,
         fold_levels=_parse_list(args.fold, int),
-        noise=_noise_from_args(args, args.n),
+        noise=NoiseModel.ion_defaults(args.n, args.p1, args.p2, args.readout_eps),
         seed=args.seed,
         fit=args.fit,
         weighted=not args.unweighted,
@@ -130,7 +112,7 @@ def _run_config(args, lambdas=None) -> RunConfig:
 def _artifact(args, outputs: dict[str, Path]) -> dict:
     """Replay record: config snapshot, content hashes, seeds, timestamps."""
     hashes = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
-    snapshot = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    snapshot = {k: v for k, v in vars(args).items() if k != "config"}
     return {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -140,7 +122,7 @@ def _artifact(args, outputs: dict[str, Path]) -> dict:
     }
 
 
-def cmd_ham(args) -> int:
+def cmd_ham(args) -> dict[str, Path]:
     h = _hamiltonian(args, args.n)
     out = Path(args.out)
     files = {"oscillator": out / f"h{args.n}_oscillator.json"}
@@ -151,8 +133,7 @@ def cmd_ham(args) -> int:
     _write(files["pauli"], pauli.to_json())
     print(f"qubit hamiltonian ({len(pauli.terms)} terms) -> {files['pauli']}")
     print(f"ground energy: {exact_ground_energy(h):.6f} MeV")
-    _write(out / f"h{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return files
 
 
 def _lambdas_for(args) -> tuple[float, ...]:
@@ -165,7 +146,7 @@ def _lambdas_for(args) -> tuple[float, ...]:
     return lam
 
 
-def cmd_ansatz(args) -> int:
+def cmd_ansatz(args) -> dict[str, Path]:
     lam = _lambdas_for(args)
     params = HypersphericalParams(lam)
     circ = build_ansatz_circuit(args.n, params)
@@ -178,11 +159,10 @@ def cmd_ansatz(args) -> int:
     print(f"amplitudes: {np.array2string(amps, precision=6)}")
     print(f"energy: {energy_expectation_exact(params, h):.6f} MeV")
     print(f"logical circuit ({len(circ.gates)} gates) -> {files['circuit']}")
-    _write(out / f"c{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return files
 
 
-def cmd_transpile(args) -> int:
+def cmd_transpile(args) -> dict[str, Path]:
     if args.circuit:
         logical = LogicalCircuit.from_json(_read(Path(args.circuit)))
     else:
@@ -200,15 +180,14 @@ def cmd_transpile(args) -> int:
         for kind, count in sorted(native.gate_counts().items()):
             print(f"  {kind}: {count}")
     print(f"native circuit ({len(native.gates)} gates) -> {files['native']}")
-    _write(out / "transpile_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return files
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict[str, Path]:
     native = NativeCircuit.from_json(_read(Path(args.circuit)))
     n = native.n_qubits
     folded = fold_circuit(native, FoldSpec(args.fold_m))
-    noise = _noise_from_args(args, n)
+    noise = NoiseModel.ion_defaults(n, args.p1, args.p2, args.readout_eps)
     rotations = basis_rotation_circuit(args.basis, n)
     counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
     record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed,
@@ -217,11 +196,10 @@ def cmd_simulate(args) -> int:
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
     _write(files["counts"], json.dumps(record))
     print(f"histogram ({args.shots} shots, basis {args.basis}, r={record['r']}) -> {files['counts']}")
-    _write(out / "simulate_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return files
 
 
-def cmd_zne(args) -> int:
+def cmd_zne(args) -> dict[str, Path]:
     points = []
     for chunk in args.series.split(","):
         try:
@@ -236,10 +214,10 @@ def cmd_zne(args) -> int:
         raise CliError(str(exc), EXIT_NUMERICAL)
     print(f"intercept: {result.intercept:.6f} +/- {result.intercept_sigma:.6f} MeV "
           f"(slope {result.slope:.6f}, {result.kind} fit)")
-    return 0
+    return {}
 
 
-def cmd_vqe(args) -> int:
+def cmd_vqe(args) -> dict[str, Path]:
     cfg = _run_config(args, lambdas=None if args.lambdas is None else _lambdas_for(args))
     # raw per-(r, setting) counts of the reported evaluation
     records: list[dict] | None = [] if args.shots > 0 else None
@@ -274,11 +252,10 @@ def cmd_vqe(args) -> int:
     print(f"lambdas: {', '.join(f'{v:.4f}' for v in result.params.lambdas)}")
     if not result.converged:
         print("warning: evaluation budget exhausted, reporting best observed")
-    _write(out / f"vqe_n{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return files
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> dict[str, Path]:
     try:
         index = int(args.vary.removeprefix("lambda"))
     except ValueError:
@@ -297,19 +274,20 @@ def cmd_scan(args) -> int:
         ))
     _write(csv_path, "\n".join(lines) + "\n")
     print("\n".join(lines))
-    files = {"csv": csv_path}
-    _write(out / f"scan_n{args.n}_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return {"csv": csv_path}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict[str, Path]:
     out = Path(args.out)
-    files = {}
     results = {}
     if args.results:
         for path in args.results:
-            doc = json.loads(_read(Path(path)))
-            results[int(doc["n_states"])] = (float(doc["energy"]), float(doc["sigma"]))
+            try:
+                doc = json.loads(_read(Path(path)))
+                results[int(doc["n_states"])] = (float(doc["energy"]), float(doc["sigma"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliError(f"{path} is not a vqe summary with numeric n_states, energy "
+                               f"and sigma: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
             results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
@@ -319,7 +297,6 @@ def cmd_report(args) -> int:
     lines += [f"{p},{n},{e:.6f},{s:.6f}" for p, n, e, s in report.csv_rows()]
     lines.append(f"exact-binding,-,{report.exact_binding_energy:.6f},0.000000")
     _write(csv_path, "\n".join(lines) + "\n")
-    files["csv"] = csv_path
     print("\n".join(lines))
     if report.missing:
         print(f"note: no results supplied for N in {report.missing}")
@@ -333,99 +310,114 @@ def cmd_report(args) -> int:
     }
     conv_path = out / "conventions.json"
     _write(conv_path, json.dumps(conventions, indent=2))
-    files["conventions"] = conv_path
     print(f"conventions report -> {conv_path}")
-    _write(out / "report_artifact.json", json.dumps(_artifact(args, files), indent=2))
-    return 0
+    return {"csv": csv_path, "conventions": conv_path}
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=3, help="number of oscillator states / qubits")
-    p.add_argument("--hbar-omega", type=float, default=DEFAULT_HBAR_OMEGA, dest="hbar_omega")
-    p.add_argument("--v0", type=float, default=DEFAULT_V0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
-                   help="shots per measurement setting; 0 = exact expectations")
-    p.add_argument("--p1", type=float, default=DEFAULT_P1)
-    p.add_argument("--p2", type=float, default=DEFAULT_P2)
-    p.add_argument("--readout-eps", type=float, default=DEFAULT_READOUT_FLIP, dest="readout_eps")
-    p.add_argument("--fold", type=str, default="0,1,2,3", help="comma list of fold levels m")
-    p.add_argument("--fit", choices=FIT_KINDS, default=FIT_KINDS[0])
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--per-term", action="store_true", dest="per_term",
-                   help="extrapolate each Hamiltonian term separately")
-    p.add_argument("--out", type=str, default="out", help="output directory")
-    p.add_argument("--config", type=str, default=None,
-                   help="flat JSON file pre-filling any flag (typed flags override)")
+def rate(text: str) -> float:
+    """argparse type: a probability in [0, 1] (argparse names it: "invalid rate value")."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value!r}")
+    return value
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _counts_from(low: int) -> Callable[[str], int]:
+    """argparse type: an int >= low."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+# every flag, spelled once: name -> argparse keywords (dest is the name with "_" for "-")
+FLAGS = {
+    "n": dict(type=int, default=3, help="number of oscillator states / qubits"),
+    "hbar-omega": dict(type=float, default=DEFAULT_HBAR_OMEGA),
+    "v0": dict(type=float, default=DEFAULT_V0),
+    "seed": dict(type=int, default=0),
+    "shots": dict(type=_counts_from(0), default=DEFAULT_SHOTS, help="shots per setting; 0 = exact"),
+    "p1": dict(type=rate, default=DEFAULT_P1),
+    "p2": dict(type=rate, default=DEFAULT_P2),
+    "readout-eps": dict(type=rate, default=DEFAULT_READOUT_FLIP),
+    "fold": dict(default="0,1,2,3", help="comma list of fold levels m"),
+    "fold-m": dict(type=int, default=0, help="fold level m of the sampled circuit"),
+    "fit": dict(choices=FIT_KINDS, default=FIT_KINDS[0]),
+    "unweighted": dict(action="store_true"),
+    "per-term": dict(action="store_true", help="extrapolate each Hamiltonian term separately"),
+    "lambdas": dict(help="comma list of N-1 angles; default: optimal (vqe: search)"),
+    "circuit": dict(help="logical circuit JSON"),
+    "optimize": dict(action="store_true"),
+    "emit-counts": dict(action="store_true"),
+    "basis": dict(choices=BASIS_LABELS, default=BASIS_LABELS[0]),
+    "series": dict(required=True, help="comma list of r:value:sigma"),
+    "vary": dict(required=True, help="the angle to vary: lambda0, lambda1, ..."),
+    "values": dict(required=True, help="comma list of values for the varied angle"),
+    "ns": dict(default="2,3,4", help="comma list of N for exact results"),
+    "results": dict(nargs="*", help="vqe summary JSON files"),
+    "out": dict(default="out", help="output directory"),
+    "config": dict(help="flat JSON file of this command's flags (typed flags win)"),
+}
+
+
+class Command(NamedTuple):
+    func: Callable[[argparse.Namespace], dict[str, Path]]  # returns the files it wrote
+    help: str
+    flags: str  # the FLAGS it reads, besides --config
+    artifact: str | None  # replay artifact file name, formatted with the parsed flags
+    overrides: dict[str, dict] = {}  # argparse keywords that differ from FLAGS
+
+
+_PIPELINE = "n hbar-omega v0 seed shots p1 p2 readout-eps fold fit unweighted per-term lambdas out"
+COMMANDS = {
+    "ham": Command(cmd_ham, "emit oscillator and qubit Hamiltonians",
+                   "n hbar-omega v0 out", "h{n}_artifact.json"),
+    "ansatz": Command(cmd_ansatz, "emit the logical ansatz circuit",
+                      "n hbar-omega v0 lambdas out", "c{n}_artifact.json"),
+    "transpile": Command(cmd_transpile, "lower a logical circuit to native gates",
+                         "n hbar-omega v0 circuit lambdas optimize emit-counts out",
+                         "transpile_artifact.json"),
+    "simulate": Command(cmd_simulate, "sample a native circuit",
+                        "circuit basis fold-m seed shots p1 p2 readout-eps out",
+                        "simulate_artifact.json",
+                        {"circuit": dict(required=True, help="native circuit JSON"),
+                         "shots": dict(type=_counts_from(1), help="shots, at least 1")}),
+    "zne": Command(cmd_zne, "extrapolate an explicit r:value:sigma series",
+                   "series fit unweighted", None),
+    "vqe": Command(cmd_vqe, "run the full pipeline (fixed params or optimize)",
+                   _PIPELINE, "vqe_n{n}_artifact.json"),
+    "scan": Command(cmd_scan, "one-parameter landscape scan",
+                    f"{_PIPELINE} vary values", "scan_n{n}_artifact.json"),
+    "report": Command(cmd_report, "convergence table and conventions report",
+                      "hbar-omega v0 ns results out", "report_artifact.json"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deuteronvqe",
         description="oscillator-basis deuteron VQE workbench with trapped-ion "
                     "compilation, noisy sampling and zero-noise extrapolation",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
-
-    p = commands["ham"] = sub.add_parser("ham", help="emit oscillator and qubit Hamiltonians")
-    _add_common(p)
-    p.set_defaults(func=cmd_ham)
-
-    p = commands["ansatz"] = sub.add_parser("ansatz", help="emit the logical ansatz circuit")
-    _add_common(p)
-    p.add_argument("--lambdas", type=str, default=None, help="comma list; default optimal")
-    p.set_defaults(func=cmd_ansatz)
-
-    p = commands["transpile"] = sub.add_parser("transpile", help="lower a logical circuit to native gates")
-    _add_common(p)
-    p.add_argument("--circuit", type=str, default=None, help="logical circuit JSON")
-    p.add_argument("--lambdas", type=str, default=None)
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--emit-counts", action="store_true", dest="emit_counts")
-    p.set_defaults(func=cmd_transpile)
-
-    p = commands["simulate"] = sub.add_parser("simulate", help="sample a native circuit")
-    _add_common(p)
-    p.add_argument("--circuit", type=str, required=True, help="native circuit JSON")
-    p.add_argument("--basis", choices=BASIS_LABELS, default=BASIS_LABELS[0])
-    p.add_argument("--fold-m", type=int, default=0, dest="fold_m")
-    p.set_defaults(func=cmd_simulate)
-
-    p = commands["zne"] = sub.add_parser("zne", help="extrapolate an explicit r:value:sigma series")
-    _add_common(p)
-    p.add_argument("--series", type=str, required=True)
-    p.set_defaults(func=cmd_zne)
-
-    p = commands["vqe"] = sub.add_parser("vqe", help="run the full pipeline (fixed params or optimize)")
-    _add_common(p)
-    p.add_argument("--lambdas", type=str, default=None,
-                   help="fixed parameters; omit to optimize")
-    p.set_defaults(func=cmd_vqe)
-
-    p = commands["scan"] = sub.add_parser("scan", help="one-parameter landscape scan")
-    _add_common(p)
-    p.add_argument("--vary", type=str, required=True)
-    p.add_argument("--values", type=str, required=True)
-    p.add_argument("--lambdas", type=str, default=None, help="fixed values; default optimal")
-    p.set_defaults(func=cmd_scan)
-
-    p = commands["report"] = sub.add_parser("report", help="convergence table and conventions report")
-    _add_common(p)
-    p.add_argument("--ns", type=str, default="2,3,4")
-    p.add_argument("--results", nargs="*", default=None, help="vqe summary JSON files")
-    p.set_defaults(func=cmd_report)
-    return parser, commands
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in (*command.flags.split(), "config"):
+            p.add_argument(f"--{flag}", **{**FLAGS[flag], **command.overrides.get(flag, {})})
+    return parser
 
 
-def _with_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+def _with_config_file(argv: list[str]) -> list[str]:
     """argv with a flat JSON file's values spliced in as flags after the subcommand,
     so that they parse as typed flags do and typed flags win.  `true` is the bare
     flag, `false` and `null` are left out, a list is the flag and its items, and any
     other value is `--flag=value`, so that a value like -5.7 is not read as an option."""
     # a pre-parse finds `--config FILE` and `--config=FILE` as argparse will
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False, allow_abbrev=False)
     pre.add_argument("--config")
     try:
         path = pre.parse_known_args(argv)[0].config
@@ -441,13 +433,13 @@ def _with_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[s
         raise CliError(f"config {path} line {exc.lineno} col {exc.colno}: {exc.msg}", EXIT_USAGE)
     if not isinstance(values, dict):
         raise CliError(f"config {path} must be a flat JSON object", EXIT_USAGE)
-    if argv[0] not in commands:
+    if argv[0] not in COMMANDS:
         return argv
     values = {k.replace("-", "_"): v for k, v in values.items()}
-    flags = {a.dest: a.option_strings[0] for a in commands[argv[0]]._actions if a.dest != "help"}
+    flags = {name.replace("-", "_"): f"--{name}" for name in COMMANDS[argv[0]].flags.split()}
     unknown = sorted(set(values) - set(flags) - {"command"})
     if unknown:
-        raise CliError(f"config {path}: unknown key(s) {', '.join(unknown)}", EXIT_USAGE)
+        raise CliError(f"config {path}: {argv[0]} takes no key(s) {', '.join(unknown)}", EXIT_USAGE)
     tokens = []
     for dest, value in values.items():
         if dest == "command" or value is None or value is False:
@@ -461,14 +453,16 @@ def _with_config_file(commands: dict[str, argparse.ArgumentParser], argv: list[s
             tokens.append(f"{flag}={value}")
     return [argv[0], *tokens, *argv[1:]]
 
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
     try:
-        args = parser.parse_args(_with_config_file(commands, argv))
-        _check_common(args)
-        return args.func(args)
+        args = build_parser().parse_args(_with_config_file(argv))
+        command = COMMANDS[args.command]
+        files = command.func(args)
+        if command.artifact:
+            _write(Path(args.out) / command.artifact.format(**vars(args)),
+                   json.dumps(_artifact(args, files), indent=2))
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, frozen, is_a
+from .estimator import apply_confusion
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
 # 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
@@ -78,7 +79,10 @@ class NoiseModel:
     @classmethod
     def ion_defaults(cls, n_qubits: int, p1: float = DEFAULT_P1, p2: float = DEFAULT_P2,
                      readout_eps: float = DEFAULT_READOUT_FLIP) -> NoiseModel:
-        return cls(p1, p2, tuple(flip_matrix(readout_eps) for _ in range(n_qubits)))
+        """Every qubit shares one read-only flip matrix."""
+        if not is_a(readout_eps, numbers.Real):
+            raise ConfigError(f"readout flip rate must be a number, got {readout_eps!r}")
+        return cls(p1, p2, (frozen(flip_matrix(readout_eps)),) * n_qubits)
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     full = NativeCircuit(n, circuit.gates + (basis_rotations.gates if basis_rotations else []))
     # rounding can leave diagonal entries of order -1e-17
     probs = np.clip(np.diagonal(run_density(full, noise)).real, 0.0, None)
-    for q, m in enumerate(noise.readout):
-        probs = apply_matrix(probs, m.T, (q,), n)
+    if noise.readout:
+        probs = apply_confusion(probs, noise.readout)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))
     return rng.multinomial(shots, probs / probs.sum())

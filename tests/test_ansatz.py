@@ -19,7 +19,7 @@ from deuteronvqe.ansatz import (
     parameters_from_amplitudes,
     resolve_convention,
 )
-from deuteronvqe.circuits import LogicalCircuit
+from deuteronvqe.circuits import ConfigError, LogicalCircuit
 from deuteronvqe.hamiltonian import (
     EftConfig,
     build_oscillator_hamiltonian,
@@ -177,6 +177,18 @@ def test_parameters_from_amplitudes_roundtrip():
         a /= np.linalg.norm(a)
         params = parameters_from_amplitudes(a)
         assert np.allclose(amplitudes(params), a, atol=1e-12)
+
+
+def test_convention_bases_checked_and_inverted():
+    # an unknown base or sign fails where it is made, not where it is used
+    for bad in ({"base": "bogus"}, {"sign": 3}, {"base": "bogus", "sign": 3}):
+        with pytest.raises(ConfigError):
+            AngleConvention(**bad)
+    a = np.random.default_rng(5).normal(size=4)
+    a /= np.linalg.norm(a)
+    for conv in CANDIDATE_CONVENTIONS:
+        params = parameters_from_amplitudes(a, conv)
+        assert np.allclose(amplitudes(params, conv), a, atol=1e-12), conv.name
 
 
 def test_circuit_serialization_shape():

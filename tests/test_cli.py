@@ -55,16 +55,21 @@ def test_usage_error_exit_code(capsys):
 
 @pytest.mark.parametrize("flag", ["--p1", "--p2", "--readout-eps"])
 def test_out_of_range_noise_rate_is_usage_error(tmp_path, capsys, flag):
-    assert run_cli("vqe", "--n", "2", "--shots", "0", flag, "2",
-                   "--out", str(tmp_path)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("vqe", "--n", "2", "--shots", "0", flag, "2", "--out", str(tmp_path))
+    assert exc.value.code == 2
     assert "in [0, 1]" in capsys.readouterr().err
-    # subcommands that build no noise model check the flags too
-    assert run_cli("ham", "--n", "2", flag, "2", "--out", str(tmp_path)) == 2
-    assert "in [0, 1]" in capsys.readouterr().err
+    # subcommands that build no noise model do not take the flags
+    with pytest.raises(SystemExit) as exc:
+        run_cli("ham", "--n", "2", flag, "2", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "h2_oscillator.json").exists()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({flag[2:]: -0.5}))
-    assert run_cli("ham", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("vqe", "--config", str(cfg), "--out", str(tmp_path))
+    assert exc.value.code == 2
     assert "in [0, 1]" in capsys.readouterr().err
 
 
@@ -75,7 +80,9 @@ def test_out_of_range_noise_rate_is_usage_error(tmp_path, capsys, flag):
     ("ham", "--n", "2", "--shots", "-1"),
 ])
 def test_negative_shots_is_usage_error(tmp_path, capsys, argv):
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path))
+    assert exc.value.code == 2
     assert "--shots" in capsys.readouterr().err
 
 
@@ -114,8 +121,49 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    out = [] if argv[0] == "zne" else ["--out", str(tmp_path)]  # zne writes no file
+    assert run_cli(*argv, *out) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    (("simulate", "--circuit", "{circuit}", "--shots", "10", "--fold", "3"), "--fold"),
+    (("zne", "--series", "1:-2.0:0.1,3:-1.0:0.1", "--out", "{out}"), "--out"),
+    (("zne", "--series", "1:-2.0:0.1,3:-1.0:0.1", "--n", "4"), "--n"),
+    (("report", "--ns", "2", "--n", "5", "--out", "{out}"), "--n"),
+    (("ham", "--n", "2", "--seed", "1", "--out", "{out}"), "--seed"),
+    (("ansatz", "--n", "2", "--shots", "10", "--out", "{out}"), "--shots"),
+    (("vqe", "--n", "2", "--shots", "0", "--lambdas", "0.59", "--unw", "--out", "{out}"), "--unw"),
+    (("ham", "--n", "2", "--config", "{config}", "--out", "{out}"), "seed"),
+])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, rejected):
+    # each command takes only the flags it reads, spelled out in full
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(NativeCircuit(2, [Gate("xx", (0, 1), 0.5)]).to_json())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1}))
+    out = tmp_path / "out"
+    argv = [a.format(circuit=circuit, config=config, out=out) for a in argv]
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert rejected in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "circuit.json"]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"energy": -2.1, "sigma": 0.1}',
+    '{"n_states": 2, "energy": "low", "sigma": 0.1}',
+])
+def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
+    summary = tmp_path / "summary.json"
+    summary.write_text(text)
+    assert run_cli("report", "--results", str(summary), "--out", str(tmp_path / "out")) == 2
+    assert str(summary) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report_artifact.json").exists()
 
 
 def test_config_file_equals_spelling(tmp_path, capsys):
@@ -137,7 +185,9 @@ def test_config_file_equals_spelling(tmp_path, capsys):
 def test_config_shots_checked_like_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "shots": -3, "out": str(tmp_path)}))
-    assert run_cli("vqe", "--config", str(cfg)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("vqe", "--config", str(cfg))
+    assert exc.value.code == 2
     assert "--shots" in capsys.readouterr().err
 
 

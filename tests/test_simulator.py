@@ -263,6 +263,11 @@ def test_noise_model_validation():
     model = NoiseModel.ion_defaults(3)
     assert model.p1 == 0.005 and model.p2 == 0.0075
     assert np.allclose(model.readout[0], flip_matrix(0.0074))
+    # the qubits share one read-only flip matrix
+    assert model.readout[0] is model.readout[2] and not model.readout[0].flags.writeable
+    for bad in ("0.1", None, True):
+        with pytest.raises(ConfigError):
+            NoiseModel.ion_defaults(2, readout_eps=bad)
 
 
 def test_fold_spec_validation():

@@ -11,16 +11,17 @@ parameterized by N-1 hyperspherical angles:
 The published parameter values do not reproduce the published energies under
 a literal reading g(l) = l.  `resolve_convention` therefore scans a small
 candidate family (scaling, complement, sign flip, index reversal) for the
-one that reproduces the full reference landscape table; the winner,
-g(l) = l/2, is the package default.  `convention_scan` exposes the full
-scan, and the CLI report command persists it.
+one that reproduces the full reference landscape table.  The winner,
+g(l) = l/2 (`RESOLVED_CONVENTION`), is the package's one reading: circuits,
+the inverse map and the exact optimum use it, and only `amplitudes` and
+`energy_expectation_exact` take another, for the scan.  `convention_scan`
+exposes the full scan, and the CLI report command persists it.
 
 Circuit construction follows the published recipe: prepare |1 0 ... 0>, then
 shift amplitude rightwards one site at a time with a controlled-RY plus CX
 block.  The first block's control is the freshly prepared |1>, so its
 rotation is emitted uncontrolled (this is the published base-case circuit
-and what makes the five-XX native form exact); pass
-``reduce_first_block=False`` for the uniform all-controlled variant.
+and what makes the five-XX native form exact).
 """
 from __future__ import annotations
 
@@ -36,11 +37,11 @@ from .refdata import LANDSCAPE_N4
 
 CONVENTION_TOLERANCE = 5e-3
 
-# convention base -> (g, its inverse), on arrays of angles
+# convention base -> g, on arrays of angles
 CONVENTION_BASES = {
-    "identity": (lambda x: x, lambda phi: phi),
-    "half": (lambda x: x / 2, lambda phi: 2 * phi),
-    "complement": (lambda x: math.pi / 2 - x, lambda phi: math.pi / 2 - phi),
+    "identity": lambda x: x,
+    "half": lambda x: x / 2,
+    "complement": lambda x: math.pi / 2 - x,
 }
 
 
@@ -62,7 +63,7 @@ class AngleConvention:
         lam = np.asarray(lambdas, dtype=float)
         if self.reversed:
             lam = lam[::-1]
-        return CONVENTION_BASES[self.base][0](self.sign * lam)
+        return CONVENTION_BASES[self.base](self.sign * lam)
 
     @property
     def name(self) -> str:
@@ -113,12 +114,7 @@ def amplitudes(
     return a
 
 
-def build_ansatz_circuit(
-    n_states: int,
-    params: HypersphericalParams,
-    convention: AngleConvention = RESOLVED_CONVENTION,
-    reduce_first_block: bool = True,
-) -> LogicalCircuit:
+def build_ansatz_circuit(n_states: int, params: HypersphericalParams) -> LogicalCircuit:
     """Logical circuit preparing the one-hot state with `amplitudes(params)`.
 
     The emitted rotation angles are the effective amplitude angles g(l), so
@@ -128,10 +124,10 @@ def build_ansatz_circuit(
         raise ConfigError(f"an ansatz circuit needs at least 2 states, got {n_states}")
     if params.n_states != n_states:
         raise ValueError(f"params describe {params.n_states} states, circuit wants {n_states}")
-    ang = convention.effective_angles(params.lambdas)
+    ang = RESOLVED_CONVENTION.effective_angles(params.lambdas)
     circ = LogicalCircuit(n_states, [Gate("prep_excite", (0,))])
     for i in range(n_states - 1):
-        if i == 0 and reduce_first_block:
+        if i == 0:  # its control would be the freshly prepared |1>
             circ.append("ry", (1,), float(ang[0]))
         else:
             circ.append("cry", (i, i + 1), float(ang[i]))
@@ -148,15 +144,12 @@ def one_hot_embedding(amps: np.ndarray) -> np.ndarray:
     return full
 
 
-def parameters_from_amplitudes(
-    amps,
-    convention: AngleConvention = RESOLVED_CONVENTION,
-) -> HypersphericalParams:
+def parameters_from_amplitudes(amps) -> HypersphericalParams:
     """Invert the hyperspherical map, canonicalizing equivalent angle choices.
 
     Effective angles come from the usual spherical-coordinate inverse
     (non-negative tail norms, full-range last angle); they are then mapped
-    back through the convention.
+    back through the resolved convention, l = 2 g.
     """
     a = np.asarray(amps, dtype=float)
     n = len(a)
@@ -166,10 +159,7 @@ def parameters_from_amplitudes(
         phis[k] = math.atan2(tail, a[k])
     if n >= 2:
         phis[n - 2] = math.atan2(a[n - 1], a[n - 2])
-    lam = convention.sign * CONVENTION_BASES[convention.base][1](phis)
-    if convention.reversed:
-        lam = lam[::-1]
-    return HypersphericalParams(tuple(float(v) for v in lam))
+    return HypersphericalParams(tuple(float(v) for v in 2 * phis))
 
 
 def energy_expectation_exact(
@@ -184,19 +174,15 @@ def energy_expectation_exact(
     return float(a @ h.entries @ a)
 
 
-def optimal_parameters(
-    h: OscillatorHamiltonian,
-    convention: AngleConvention = RESOLVED_CONVENTION,
-) -> tuple[HypersphericalParams, float]:
+def optimal_parameters(h: OscillatorHamiltonian) -> tuple[HypersphericalParams, float]:
     """Exact minimum of the ansatz energy, in closed form.
 
     The ansatz spans the whole one-hot sector, so the minimizing amplitudes
     are the ground eigenvector of `h` and the minimum is its lowest
-    eigenvalue.  The angles are the canonical inverse of that vector under
-    `convention`.
+    eigenvalue.  The angles are the canonical inverse of that vector.
     """
     energy, v = ground_state(h)
-    return parameters_from_amplitudes(v, convention), energy
+    return parameters_from_amplitudes(v), energy
 
 
 @lru_cache(maxsize=1)

@@ -6,13 +6,15 @@ command's handler, the flags it reads (and no others) and its replay artifact,
 which `main` writes.  argparse checks types, choices and ranges, with no
 abbreviations.  A flat JSON config file may pre-fill any flag of its command:
 its values are parsed as the flags they name, and flags typed on the command
-line win.  Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
+line win.  Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error
+(a closed standard-output pipe included).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,10 +32,9 @@ from .ansatz import (
     optimal_parameters,
     resolve_convention,
 )
-from .circuits import ConfigError, LogicalCircuit, NativeCircuit
+from .circuits import ConfigError, LogicalCircuit, NativeCircuit, is_a
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
-from .driver import (ConcaveFitError, RunConfig, ScanSpec, convergence_report, landscape_scan,
-                     vqe_run)
+from .driver import RunConfig, ScanSpec, convergence_report, landscape_scan, vqe_run
 from .estimator import (BASIS_LABELS, FIT_KINDS, ZnePoint, ZneSeries, basis_rotation_circuit,
                         histogram_dict, richardson_extrapolate)
 from .hamiltonian import (
@@ -284,10 +285,13 @@ def cmd_report(args) -> dict[str, Path]:
         for path in args.results:
             try:
                 doc = json.loads(_read(Path(path)))
-                results[int(doc["n_states"])] = (float(doc["energy"]), float(doc["sigma"]))
+                n = doc["n_states"]
+                if not is_a(n, int):
+                    raise TypeError(f"n_states {n!r} is not an integer")
+                results[n] = (float(doc["energy"]), float(doc["sigma"]))
             except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"{path} is not a vqe summary with numeric n_states, energy "
-                               f"and sigma: {exc!r}", EXIT_USAGE)
+                raise CliError(f"{path} is not a vqe summary with integer n_states and numeric "
+                               f"energy and sigma: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
             results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
@@ -462,16 +466,19 @@ def main(argv: list[str] | None = None) -> int:
         if command.artifact:
             _write(Path(args.out) / command.artifact.format(**vars(args)),
                    json.dumps(_artifact(args, files), indent=2))
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_IO
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConcaveFitError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,7 +83,11 @@ class ConcaveFitError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything needed to replay a pipeline run bit-exactly."""
+    """Everything needed to replay a pipeline run bit-exactly.
+
+    Every run reads its angles under the resolved convention g(l) = l/2;
+    `convention` is a class constant naming it, not a field.
+    """
 
     n_states: int
     lambdas: tuple[float, ...] | None = None  # None -> optimize
@@ -93,7 +98,7 @@ class RunConfig:
     fit: str = FIT_KINDS[0]
     weighted: bool = True
     per_term: bool = False
-    convention: AngleConvention = RESOLVED_CONVENTION
+    convention: ClassVar[AngleConvention] = RESOLVED_CONVENTION
     hbar_omega: float = DEFAULT_HBAR_OMEGA
     v0: float = DEFAULT_V0
     max_evals: int = 200
@@ -146,7 +151,7 @@ def _child_seed(seed: int, m: int, basis_index: int) -> int:
 
 
 def prepared_native_circuit(cfg: RunConfig, params: HypersphericalParams) -> NativeCircuit:
-    logical = build_ansatz_circuit(cfg.n_states, params, cfg.convention)
+    logical = build_ansatz_circuit(cfg.n_states, params)
     return optimize_native(transpile(logical))
 
 
@@ -176,6 +181,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
         series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
+    lambdas = list(params.lambdas)  # shared by this evaluation's count records
     points = []
     per_term_series: dict[str, list[tuple[int, float, float]]] = {}
     for m in sorted(set(cfg.fold_levels)):
@@ -187,7 +193,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
             counts = sample_shots_noisy(folded, rotations, cfg.shots, cfg.noise, child)
             if count_records is not None:
                 count_records.append({
-                    "lambdas": list(params.lambdas), "r": 2 * m + 1,
+                    "lambdas": lambdas, "r": 2 * m + 1,
                     "setting": setting.basis, "shots": cfg.shots,
                     "seed": child, "counts": histogram_dict(counts),
                 })
@@ -307,7 +313,7 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
 
     # start from the analytic optimum; in exact mode this converges in a few
     # steps, in noisy mode it keeps the search in the physical basin
-    start, _ = optimal_parameters(h, cfg.convention)
+    start, _ = optimal_parameters(h)
     x0 = np.array(start.lambdas)
 
     def objective(x):
@@ -361,12 +367,11 @@ def landscape_scan(cfg: RunConfig, spec: ScanSpec) -> list[ScanRow]:
         # distinct, replayable shot streams per row (104729 tags the scan stream)
         row_cfg = replace(cfg, lambdas=lambdas, seed=_child_seed(cfg.seed, 104729, i))
         _, result = zne_energy(row_cfg, params, h, pauli)
-        rows.append(ScanRow(lambdas, result,
-                            energy_expectation_exact(params, h, cfg.convention)))
+        rows.append(ScanRow(lambdas, result, energy_expectation_exact(params, h)))
     return rows
 
 
-def fit_quadratic_minimum(points, weighted: bool = True) -> tuple[float, float, float]:
+def fit_quadratic_minimum(points) -> tuple[float, float, float]:
     """Weighted parabola fit; returns (min location, min energy, energy sigma).
 
     Raises ConcaveFitError when the leading coefficient comes out
@@ -376,7 +381,7 @@ def fit_quadratic_minimum(points, weighted: bool = True) -> tuple[float, float, 
     if len(pts) < 3:
         raise ValueError(f"quadratic fit needs at least 3 points, got {len(pts)}")
     x, y, s = zip(*pts)
-    coef, cov, _ = polynomial_fit(x, y, s, 2, weighted)
+    coef, cov, _ = polynomial_fit(x, y, s, 2)
     a, b, c = (float(t) for t in coef)
     if a <= 0:
         raise ConcaveFitError(f"leading coefficient {a} is not positive")

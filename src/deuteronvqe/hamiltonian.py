@@ -89,13 +89,9 @@ class OscillatorHamiltonian:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_tridiagonal(self, atol: float = 0.0) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) > 1 and abs(self.entries[i, j]) > atol:
-                    return False
-        return True
+    def is_tridiagonal(self) -> bool:
+        i, j = np.indices(self.entries.shape)
+        return not np.any(self.entries[abs(i - j) > 1])
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "rows": self.entries.tolist()})
@@ -187,7 +183,7 @@ def jordan_wigner(h: OscillatorHamiltonian) -> PauliHamiltonian:
     Only adjacent hopping is supported: longer-range matrix elements would
     need Z strings between the endpoints and are rejected.
     """
-    if not h.is_tridiagonal(atol=0.0):
+    if not h.is_tridiagonal():
         raise ValueError("only tridiagonal (adjacent-hopping) matrices are supported")
     n = h.dim
     terms: list[tuple[float, str]] = []

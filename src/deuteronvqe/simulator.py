@@ -73,10 +73,6 @@ class NoiseModel:
         self.readout = tuple(mats)
 
     @classmethod
-    def ideal(cls, n_qubits: int) -> NoiseModel:
-        return cls(0.0, 0.0, tuple(np.eye(2) for _ in range(n_qubits)))
-
-    @classmethod
     def ion_defaults(cls, n_qubits: int, p1: float = DEFAULT_P1, p2: float = DEFAULT_P2,
                      readout_eps: float = DEFAULT_READOUT_FLIP) -> NoiseModel:
         """Every qubit shares one read-only flip matrix."""

@@ -190,7 +190,7 @@ def test_criterion_6_landscape_fit_replication():
     for index in (0, 1, 2):
         rows = landscape_column(index)
         pts = [(r.lambdas[index], r.measured, r.measured_sigma) for r in rows]
-        _, energy, _ = fit_quadratic_minimum(pts, weighted=True)
+        _, energy, _ = fit_quadratic_minimum(pts)
         minima.append(energy)
         assert abs(energy - LANDSCAPE_FIT_MINIMA[index]) <= 0.05, (index, energy)
     avg = float(np.mean(minima))

@@ -84,13 +84,6 @@ def test_circuit_structure_default():
     assert circ.gates[1].angle == pytest.approx(0.25)
 
 
-def test_circuit_structure_uniform_controlled():
-    params = HypersphericalParams((0.5,))
-    circ = build_ansatz_circuit(2, params, reduce_first_block=False)
-    assert [g.kind for g in circ.gates] == ["prep_excite", "cry", "cx"]
-    assert circ.gates[1].qubits == (0, 1)
-
-
 def test_circuit_gate_count_n4():
     params = HypersphericalParams((0.858, 0.958, 0.758))
     circ = build_ansatz_circuit(4, params)
@@ -108,12 +101,11 @@ def test_circuit_state_matches_amplitudes(n):
     for _ in range(10):
         lam = tuple(rng.uniform(-math.pi, math.pi, size=n - 1))
         params = HypersphericalParams(lam)
-        for reduce_first in (True, False):
-            circ = build_ansatz_circuit(n, params, reduce_first_block=reduce_first)
-            psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
-            target = one_hot_embedding(amplitudes(params))
-            # equality up to global phase
-            assert abs(abs(np.vdot(psi, target)) - 1.0) < 1e-10
+        circ = build_ansatz_circuit(n, params)
+        psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
+        target = one_hot_embedding(amplitudes(params))
+        # equality up to global phase
+        assert abs(abs(np.vdot(psi, target)) - 1.0) < 1e-10
 
 
 def test_circuit_one_hot_support():
@@ -163,11 +155,10 @@ def test_optimal_parameters_is_ground_eigenvector():
         h = build_oscillator_hamiltonian(EftConfig(n))
         exact = exact_ground_energy(h)
         _, v = ground_state(h)
-        for conv in CANDIDATE_CONVENTIONS:
-            params, energy = optimal_parameters(h, conv)
-            assert energy == pytest.approx(exact, abs=1e-12)
-            assert energy_expectation_exact(params, h, conv) == pytest.approx(exact, abs=1e-12)
-            assert abs(amplitudes(params, conv) @ v) == pytest.approx(1.0, abs=1e-12)
+        params, energy = optimal_parameters(h)
+        assert energy == pytest.approx(exact, abs=1e-12)
+        assert energy_expectation_exact(params, h) == pytest.approx(exact, abs=1e-12)
+        assert abs(amplitudes(params) @ v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parameters_from_amplitudes_roundtrip():
@@ -184,11 +175,6 @@ def test_convention_bases_checked_and_inverted():
     for bad in ({"base": "bogus"}, {"sign": 3}, {"base": "bogus", "sign": 3}):
         with pytest.raises(ConfigError):
             AngleConvention(**bad)
-    a = np.random.default_rng(5).normal(size=4)
-    a /= np.linalg.norm(a)
-    for conv in CANDIDATE_CONVENTIONS:
-        params = parameters_from_amplitudes(a, conv)
-        assert np.allclose(amplitudes(params, conv), a, atol=1e-12), conv.name
 
 
 def test_circuit_serialization_shape():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,9 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, reje
     "{not json",
     '{"energy": -2.1, "sigma": 0.1}',
     '{"n_states": 2, "energy": "low", "sigma": 0.1}',
+    '{"n_states": 2.7, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": "2", "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": true, "energy": -1.7, "sigma": 0.1}',
 ])
 def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"
@@ -265,6 +272,24 @@ def test_report_contains_reference_energy(tmp_path, capsys):
     conv = json.loads((tmp_path / "conventions.json").read_text())
     assert conv["ansatz_convention"]["resolved"] == "g(l) = half(l)"
     assert all(rec["max_deviation"] < 1e-9 for rec in conv["gate_identities"])
+
+
+def test_closed_stdout_pipe_is_io_error(tmp_path):
+    # the read end is closed before the child starts, so its first write fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from deuteronvqe.cli import main; "
+            "raise SystemExit(main(sys.argv[2:]))")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", code, src, "report", "--ns", "2,3,4",
+                               "--out", str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert "standard output closed" in done.stderr
 
 
 def test_seed_reproducibility(tmp_path):

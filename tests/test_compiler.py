@@ -129,10 +129,6 @@ def test_transpile_c2_xx_budget():
     native = transpile(circ)
     assert unitary_equivalent(unitary_of(circ), unitary_of(native), tol=1e-9)
     assert native.xx_count() <= 2
-    uniform = build_ansatz_circuit(2, HypersphericalParams((0.7,)), reduce_first_block=False)
-    native_u = transpile(uniform)
-    assert unitary_equivalent(unitary_of(uniform), unitary_of(native_u), tol=1e-9)
-    assert native_u.xx_count() <= 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

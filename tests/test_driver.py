@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from deuteronvqe.ansatz import HypersphericalParams, energy_expectation_exact, optimal_parameters
-from deuteronvqe.circuits import ConfigError
+from deuteronvqe.circuits import ConfigError, NativeCircuit
 from deuteronvqe.driver import (
     ConcaveFitError,
     RunConfig,
@@ -11,17 +14,20 @@ from deuteronvqe.driver import (
     fit_quadratic_minimum,
     landscape_scan,
     nelder_mead,
+    prepared_native_circuit,
     vqe_run,
     zne_energy,
 )
-from deuteronvqe.estimator import ZneResult
-from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy
+from deuteronvqe.estimator import (ZneResult, basis_rotation_circuit, energy_estimate,
+                                   measurement_settings)
+from deuteronvqe.hamiltonian import (EftConfig, build_oscillator_hamiltonian, exact_ground_energy,
+                                     jordan_wigner)
 from deuteronvqe.refdata import (
     LANDSCAPE_FIT_AVERAGE,
     LANDSCAPE_FIT_MINIMA,
     landscape_column,
 )
-from deuteronvqe.simulator import NoiseModel
+from deuteronvqe.simulator import FoldSpec, NoiseModel, fold_circuit, run_density
 
 
 def test_run_config_validation():
@@ -91,6 +97,9 @@ def test_zne_count_records():
     keys = {(r["r"], r["setting"]) for r in records}
     assert keys == {(r, b) for r in (1, 3, 5, 7) for b in ("z", "x", "y")}
     assert all(sum(r["counts"].values()) == 300 for r in records)
+    # one evaluation's records share one parameter list
+    assert records[0]["lambdas"] == list(lam)
+    assert all(r["lambdas"] is records[0]["lambdas"] for r in records)
 
 
 def test_zne_per_term_mode():
@@ -137,6 +146,39 @@ def test_vqe_noisy_xx_only_covers_truth():
     m0 = result.trace[0].series[0]
     sigma_m0 = m0[2]
     assert abs(m0[1] - (-2.0457)) > sigma_m0  # unmitigated point is biased
+
+
+def test_seed_ensemble_matches_exact_channel():
+    # oracle: each fold level's energy from the exact channel, diag(rho) of every
+    # setting fed to the same estimator; readout is left out, as SPAM inversion
+    # undoes it on average.  The mean over seeds must lie within 4 sigma/sqrt(N).
+    n = 3
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    pauli = jordan_wigner(h)
+    params, _ = optimal_parameters(h)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas, shots=2000, fold_levels=(0, 1, 2, 3),
+                    weighted=False)
+    native = prepared_native_circuit(cfg, params)
+    exact = []
+    for m in cfg.fold_levels:
+        folded = fold_circuit(native, FoldSpec(m))
+        probs = {s.basis: np.diagonal(run_density(NativeCircuit(
+                     n, folded.gates + basis_rotation_circuit(s.basis, n).gates), cfg.noise)).real
+                 for s in measurement_settings(pauli)}
+        exact.append(energy_estimate(pauli, probs)[0])
+    rs = [2 * m + 1 for m in cfg.fold_levels]
+    exact_intercept = np.polyfit(rs, exact, 1)[-1]
+
+    runs = [zne_energy(replace(cfg, seed=seed), params, h, pauli) for seed in range(64)]
+    energies = np.array([[p.value for p in series.points] for series, _ in runs])
+    intercepts = np.array([res.intercept for _, res in runs])
+
+    def z(samples, target):
+        return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(len(samples)))
+
+    for k, r in enumerate(rs):
+        assert abs(z(energies[:, k], exact[k])) <= 4, r
+    assert abs(z(intercepts, exact_intercept)) <= 4
 
 
 def test_vqe_noisy_optimize_mechanics():
@@ -247,7 +289,7 @@ def test_landscape_fit_minima_match_published():
     for index in (0, 1, 2):
         rows = landscape_column(index)
         pts = [(r.lambdas[index], r.measured, r.measured_sigma) for r in rows]
-        _, energy, sigma = fit_quadratic_minimum(pts, weighted=True)
+        _, energy, sigma = fit_quadratic_minimum(pts)
         minima.append(energy)
         assert energy == pytest.approx(LANDSCAPE_FIT_MINIMA[index], abs=0.05)
         assert sigma > 0

@@ -77,7 +77,7 @@ def test_symmetric_tridiagonal_up_to_16():
     for n in range(1, 17):
         h = build_oscillator_hamiltonian(EftConfig(n))
         assert np.array_equal(h.entries, h.entries.T)
-        assert h.is_tridiagonal(atol=0.0)
+        assert h.is_tridiagonal()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

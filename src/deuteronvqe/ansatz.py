@@ -83,7 +83,7 @@ CANDIDATE_CONVENTIONS = tuple(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypersphericalParams:
     """N-1 hyperspherical angles (radians) in the published parameterization."""
 

@@ -286,12 +286,12 @@ def cmd_report(args) -> dict[str, Path]:
             try:
                 doc = json.loads(_read(Path(path)))
                 n = doc["n_states"]
-                if not is_a(n, int):
-                    raise TypeError(f"n_states {n!r} is not an integer")
+                if not is_a(n, int) or n < 2:  # no vqe run has fewer than 2 states
+                    raise ValueError(f"n_states {n!r} is not an integer >= 2")
                 results[n] = (float(doc["energy"]), float(doc["sigma"]))
             except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"{path} is not a vqe summary with integer n_states and numeric "
-                               f"energy and sigma: {exc!r}", EXIT_USAGE)
+                raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
+                               f"numeric energy and sigma: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
             results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)

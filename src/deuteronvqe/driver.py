@@ -12,21 +12,26 @@ Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
 runs replay bit-exactly and are insensitive to evaluation order.
 
-The parameter search is Nelder-Mead started from the closed-form exact
-optimum.  Because the child seeds do not depend on the parameters, every
-evaluation at the same parameters draws the same histograms (common random
-numbers): the noisy objective is a deterministic function of the parameters,
-so a simplex vertex's stored value is never stale.  The returned optimum is
-the best point observed; its reported energy is one more evaluation on a
-stream of its own, since on the search's streams it would repeat the trace
-minimum, which selection biases low.  `landscape_scan` rows are reported
-values too, so each row gets its own stream.
+An exact run (``shots = 0``) does not search: the ansatz spans the whole
+one-hot sector, so `optimal_parameters` is already the exact minimiser, and
+the run reports one evaluation there, which still checks the compiled
+pipeline against the analytic energy.  A noisy run searches with Nelder-Mead
+started from that closed-form optimum.  Because the child seeds do not
+depend on the parameters, every evaluation at the same parameters draws the
+same histograms (common random numbers): the noisy objective is a
+deterministic function of the parameters, so a simplex vertex's stored value
+is never stale.  The returned optimum is the best point observed; its
+reported energy is one more evaluation on a stream of its own, since on the
+search's streams it would repeat the trace minimum, which selection biases
+low.  `landscape_scan` rows are reported values too, so each row gets its
+own stream.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -81,12 +86,14 @@ class ConcaveFitError(RuntimeError):
     """Quadratic landscape fit came out concave; no minimum to report."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     """Everything needed to replay a pipeline run bit-exactly.
 
     Every run reads its angles under the resolved convention g(l) = l/2;
-    `convention` is a class constant naming it, not a field.
+    `convention` is a class constant naming it, not a field.  `max_evals`
+    is the search budget, which only noisy runs read: an exact run does
+    not search.
     """
 
     n_states: int
@@ -125,7 +132,7 @@ class RunConfig:
         return EftConfig(self.n_states, self.hbar_omega, self.v0)
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     """Trace of one objective evaluation: parameters, series, intercept."""
 
@@ -148,6 +155,16 @@ _REPORT_TAG = 0x7270  # tags the stream of a search's reported evaluation
 
 def _child_seed(seed: int, m: int, basis_index: int) -> int:
     return int(np.random.SeedSequence([seed, m, basis_index]).generate_state(1)[0])
+
+
+def _params(lambdas) -> HypersphericalParams:
+    return HypersphericalParams(tuple(float(v) for v in lambdas))
+
+
+@lru_cache(maxsize=64)
+def _exact_optimum(eft: EftConfig) -> HypersphericalParams:
+    """Closed-form minimiser of the ansatz energy, found once per model."""
+    return optimal_parameters(build_oscillator_hamiltonian(eft))[0]
 
 
 def prepared_native_circuit(cfg: RunConfig, params: HypersphericalParams) -> NativeCircuit:
@@ -290,17 +307,19 @@ def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,
 
 
 def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunResult:
-    """Evaluate or optimize the extrapolated energy, with a full trace.
+    """Evaluate at fixed parameters, or find and evaluate the optimum, with a full trace.
 
-    Pass a list as `count_records` to capture the count records of the
-    reported (closing) evaluation, which after a search has its own stream.
+    An exact run reports the closed-form optimum after one evaluation; a
+    noisy run searches from it.  Pass a list as `count_records` to capture
+    the count records of the reported (closing) evaluation, which after a
+    search has its own stream.
     """
-    h = build_oscillator_hamiltonian(cfg.eft())
+    eft = cfg.eft()
+    h = build_oscillator_hamiltonian(eft)
     pauli = jordan_wigner(h)
     trace: list[EvalRecord] = []
 
-    def evaluate(lambdas, records=None, run_cfg=cfg) -> ZneResult:
-        params = HypersphericalParams(tuple(float(v) for v in lambdas))
+    def evaluate(params: HypersphericalParams, records=None, run_cfg=cfg) -> ZneResult:
         series, result = zne_energy(run_cfg, params, h, pauli, records)
         trace.append(EvalRecord(params.lambdas,
                                 [(p.r, p.value, p.sigma) for p in series.points],
@@ -308,23 +327,20 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
         return result
 
     if cfg.lambdas is not None:
-        result = evaluate(cfg.lambdas, count_records)
-        return VqeRunResult(HypersphericalParams(tuple(cfg.lambdas)), result, trace)
+        params = _params(cfg.lambdas)
+        return VqeRunResult(params, evaluate(params, count_records), trace)
 
-    # start from the analytic optimum; in exact mode this converges in a few
-    # steps, in noisy mode it keeps the search in the physical basin
-    start, _ = optimal_parameters(h)
-    x0 = np.array(start.lambdas)
+    start = _exact_optimum(eft)
+    if cfg.shots == 0:
+        return VqeRunResult(start, evaluate(start, count_records), trace)
 
-    def objective(x):
-        return evaluate(x).intercept
-
-    x_best, _, evals, converged = nelder_mead(
-        objective, x0, step=0.25, max_evals=cfg.max_evals,
-        ftol=1e-8 if cfg.shots == 0 else 1e-4)
-    result = evaluate(x_best, count_records, replace(cfg, seed=_child_seed(cfg.seed, _REPORT_TAG, 0)))
-    return VqeRunResult(HypersphericalParams(tuple(float(v) for v in x_best)),
-                        result, trace, converged=converged)
+    # the search starts at the analytic optimum, which keeps it in the physical basin
+    x_best, _, _, converged = nelder_mead(lambda x: evaluate(_params(x)).intercept,
+                                          np.array(start.lambdas), step=0.25,
+                                          max_evals=cfg.max_evals, ftol=1e-4)
+    best = _params(x_best)
+    result = evaluate(best, count_records, replace(cfg, seed=_child_seed(cfg.seed, _REPORT_TAG, 0)))
+    return VqeRunResult(best, result, trace, converged=converged)
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,14 @@ class MeasurementSetting:
     terms: tuple[tuple[float, str], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class ZnePoint:
     r: int
     value: float
     sigma: float
 
 
-@dataclass
+@dataclass(slots=True)
 class ZneSeries:
     points: list[ZnePoint] = field(default_factory=list)
 
@@ -66,7 +66,7 @@ class ZneSeries:
             raise ValueError("noise parameters r must be odd positive integers")
 
 
-@dataclass
+@dataclass(slots=True)
 class ZneResult:
     intercept: float
     intercept_sigma: float

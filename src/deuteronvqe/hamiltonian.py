@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, ConfigError
+from .circuits import PAULI, ConfigError, frozen
 
 DEFAULT_HBAR_OMEGA = 7.0
 DEFAULT_V0 = -5.68658
@@ -106,13 +107,23 @@ class OscillatorHamiltonian:
 
 
 def build_oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
-    """Assemble the N x N oscillator-basis matrix for the given parameters."""
+    """Assemble the N x N oscillator-basis matrix for the given parameters.
+
+    It is built once per configuration and shared by every caller, so its
+    `entries` are read-only.
+    """
+    # the cache sits behind a plain function, which call tracers can wrap
+    return _oscillator_hamiltonian(cfg)
+
+
+@lru_cache(maxsize=64)
+def _oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
     n = cfg.n_states
     h = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             h[i, j] = kinetic_element(i, j, cfg.hbar_omega) + potential_element(i, j, cfg.v0)
-    return OscillatorHamiltonian(h)
+    return OscillatorHamiltonian(frozen(h))
 
 
 def _check_word(word: str, n_qubits: int):

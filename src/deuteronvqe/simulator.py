@@ -47,12 +47,13 @@ def flip_matrix(eps: float) -> np.ndarray:
     return np.array([[1 - eps, eps], [eps, 1 - eps]])
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Per-gate stochastic Pauli rates plus per-qubit readout confusion.
 
     `readout[q][true, observed]` is row-stochastic.  `p1 = p2 = 0` with
-    identity readout reproduces the ideal simulator exactly.
+    identity readout reproduces the ideal simulator exactly.  A model is
+    frozen, so one instance can serve every run that shares its setting.
     """
 
     p1: float = DEFAULT_P1
@@ -70,15 +71,21 @@ class NoiseModel:
                 raise ConfigError("readout confusion matrices must be 2x2, with entries in [0, 1] "
                                   "and rows summing to 1")
             mats.append(m)
-        self.readout = tuple(mats)
+        object.__setattr__(self, "readout", tuple(mats))
 
     @classmethod
     def ion_defaults(cls, n_qubits: int, p1: float = DEFAULT_P1, p2: float = DEFAULT_P2,
                      readout_eps: float = DEFAULT_READOUT_FLIP) -> NoiseModel:
-        """Every qubit shares one read-only flip matrix."""
-        if not is_a(readout_eps, numbers.Real):
-            raise ConfigError(f"readout flip rate must be a number, got {readout_eps!r}")
-        return cls(p1, p2, (frozen(flip_matrix(readout_eps)),) * n_qubits)
+        """One shared model per setting; every qubit shares one read-only flip matrix."""
+        if not all(is_a(v, numbers.Real) for v in (p1, p2, readout_eps)):  # and so hashable
+            raise ConfigError(f"noise rates must be numbers, got p1={p1!r}, p2={p2!r}, "
+                              f"readout_eps={readout_eps!r}")
+        return _ion_defaults(n_qubits, p1, p2, readout_eps)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: a rate of 1 and one of 1.0 are separate entries
+def _ion_defaults(n_qubits: int, p1: float, p2: float, readout_eps: float) -> NoiseModel:
+    return NoiseModel(p1, p2, (frozen(flip_matrix(readout_eps)),) * n_qubits)
 
 
 @dataclass(frozen=True)

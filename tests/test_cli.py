@@ -164,6 +164,9 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, reje
     '{"n_states": 2.7, "energy": -1.7, "sigma": 0.1}',
     '{"n_states": "2", "energy": -1.7, "sigma": 0.1}',
     '{"n_states": true, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": -3, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": 0, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": 1, "energy": -1.7, "sigma": 0.1}',
 ])
 def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"
@@ -236,6 +239,15 @@ def test_vqe_exact_cli(tmp_path, capsys):
     trace = (tmp_path / "vqe_n3_trace.jsonl").read_text().strip().splitlines()
     assert len(trace) >= 1
     assert all("intercept" in json.loads(line) for line in trace)
+
+
+def test_vqe_exact_cli_reports_no_budget_warning(tmp_path, capsys):
+    # exact mode reports the closed-form optimum; it has no search budget to exhaust
+    assert run_cli("vqe", "--n", "7", "--shots", "0", "--out", str(tmp_path)) == 0
+    assert "budget" not in capsys.readouterr().out
+    summary = json.loads((tmp_path / "vqe_n7_summary.json").read_text())
+    assert summary["converged"] is True
+    assert len((tmp_path / "vqe_n7_trace.jsonl").read_text().splitlines()) == 1
 
 
 def test_scan_exact_matches_reference_table(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,8 @@ def test_run_config_validation():
     assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fold_levels=(np.int32(0),)).shots == 5
     cfg = RunConfig(n_states=3)
     assert cfg.noise.p2 == 0.0075
+    # the default model is one shared constant, not one per configuration
+    assert cfg.noise is NoiseModel.ion_defaults(3)
 
 
 def test_zne_exact_mode_matches_analytic(h3):
@@ -117,11 +120,40 @@ def test_zne_per_term_mode():
 def test_vqe_exact_mode(n, expected):
     from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian
 
-    cfg = RunConfig(n_states=n, shots=0, max_evals=400)
+    cfg = RunConfig(n_states=n, shots=0)
     result = vqe_run(cfg)
     assert result.zne.intercept == pytest.approx(expected, abs=1e-3)
     _, best = optimal_parameters(build_oscillator_hamiltonian(EftConfig(n)))
     assert result.zne.intercept == pytest.approx(best, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_vqe_reports_closed_form_optimum(n):
+    # exact mode does not search: the closed form is the exact minimiser
+    start, energy = optimal_parameters(build_oscillator_hamiltonian(EftConfig(n)))
+    result = vqe_run(RunConfig(n_states=n, shots=0))
+    assert result.params.lambdas == start.lambdas
+    assert result.converged
+    assert [rec.lambdas for rec in result.trace] == [start.lambdas]
+    assert result.zne.intercept == pytest.approx(energy, abs=1e-9)
+
+
+def test_exact_evaluation_retains_little_memory():
+    # a caller that keeps every evaluation's output (as the benchmark does)
+    # grows by this much per evaluation
+    h = build_oscillator_hamiltonian(EftConfig(4))
+    pauli = jordan_wigner(h)
+    cfg = RunConfig(n_states=4, shots=0)
+    params, _ = optimal_parameters(h)
+    zne_energy(cfg, params, h, pauli)  # fill every cache before measuring
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        kept = [zne_energy(cfg, params, h, pauli) for _ in range(260)]
+        per_eval = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_eval <= 600
 
 
 def test_vqe_fixed_params_records_trace(h3):

@@ -60,6 +60,14 @@ def test_build_n1_single_element():
     assert h.entries[0, 0] == pytest.approx(-0.43658, abs=1e-10)
 
 
+def test_build_shared_and_read_only():
+    h = build_oscillator_hamiltonian(EftConfig(4))
+    assert build_oscillator_hamiltonian(EftConfig(4)) is h
+    assert build_oscillator_hamiltonian(EftConfig(4, hbar_omega=10.0)) is not h
+    with pytest.raises(ValueError):
+        h.entries[0, 0] = 0.0
+
+
 def test_build_n3_matrix(h3):
     assert np.allclose(np.diag(h3.entries), [-0.43658, 12.25, 19.25], atol=1e-5)
     assert np.allclose(np.diag(h3.entries, 1), [-4.28661, -7.82624], atol=1e-5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -268,6 +269,20 @@ def test_noise_model_validation():
     for bad in ("0.1", None, True):
         with pytest.raises(ConfigError):
             NoiseModel.ion_defaults(2, readout_eps=bad)
+    # the shared models are cached, so an unhashable rate must fail the type check first
+    for bad in ({"p1": [0.1]}, {"p2": {}}, {"readout_eps": [0.1]}):
+        with pytest.raises(ConfigError):
+            NoiseModel.ion_defaults(2, **bad)
+
+
+def test_ion_defaults_shared_and_frozen():
+    model = NoiseModel.ion_defaults(3)
+    assert NoiseModel.ion_defaults(3) is model
+    assert NoiseModel.ion_defaults(3, p1=0.01) is not model
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.p1 = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.readout = ()
 
 
 def test_fold_spec_validation():

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import ConfigError, Gate, LogicalCircuit
-from .hamiltonian import OscillatorHamiltonian, ground_state
+from .circuits import ConfigError, Gate, LogicalCircuit, checked
+from .hamiltonian import EftConfig, OscillatorHamiltonian, build_oscillator_hamiltonian, ground_state
 from .refdata import LANDSCAPE_N4
 
 CONVENTION_TOLERANCE = 5e-3
@@ -90,8 +90,8 @@ class HypersphericalParams:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in self.lambdas):
-            raise ValueError("angles must be finite")
+        for i, v in enumerate(self.lambdas):
+            checked(f"lambdas[{i}]", v)
 
     @property
     def n_states(self) -> int:
@@ -120,8 +120,7 @@ def build_ansatz_circuit(n_states: int, params: HypersphericalParams) -> Logical
     The emitted rotation angles are the effective amplitude angles g(l), so
     cos/sin of the gate angle appear directly in the prepared state.
     """
-    if n_states < 2:
-        raise ConfigError(f"an ansatz circuit needs at least 2 states, got {n_states}")
+    checked("n_states", n_states, int, ge=2)
     if params.n_states != n_states:
         raise ValueError(f"params describe {params.n_states} states, circuit wants {n_states}")
     ang = RESOLVED_CONVENTION.effective_angles(params.lambdas)
@@ -201,24 +200,11 @@ def resolve_convention() -> AngleConvention:
 
 def convention_scan() -> list[dict]:
     """Max absolute landscape-table error for every candidate convention."""
-    from .hamiltonian import EftConfig, build_oscillator_hamiltonian
-
     h4 = build_oscillator_hamiltonian(EftConfig(n_states=4))
     out = []
     for conv in CANDIDATE_CONVENTIONS:
-        errs = [
-            abs(energy_expectation_exact(HypersphericalParams(row.lambdas), h4, conv) - row.predicted)
-            for row in LANDSCAPE_N4
-        ]
-        out.append(
-            {
-                "base": conv.base,
-                "sign": conv.sign,
-                "reversed": conv.reversed,
-                "name": conv.name,
-                "max_error": max(errs),
-                "resolved": max(errs) <= CONVENTION_TOLERANCE,
-            }
-        )
-    out.sort(key=lambda e: e["max_error"])
-    return out
+        err = max(abs(energy_expectation_exact(HypersphericalParams(row.lambdas), h4, conv)
+                      - row.predicted) for row in LANDSCAPE_N4)
+        out.append({"base": conv.base, "sign": conv.sign, "reversed": conv.reversed,
+                    "name": conv.name, "max_error": err, "resolved": err <= CONVENTION_TOLERANCE})
+    return sorted(out, key=lambda e: e["max_error"])

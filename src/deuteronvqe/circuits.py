@@ -26,12 +26,14 @@ the first character of a bit string and the most significant index bit.
 `PAULI` is the package's one Pauli table and `apply_matrix` its one gate
 kernel, behind every statevector, unitary and readout-tensor update.  Shared
 constant arrays (this table, fixed gate matrices, channel and parity tables)
-are read-only.  `ConfigError` is what every settings check in the package
-raises, so that callers can tell bad input from a numerical failure.
+are read-only.  `checked` is the one rule for a numeric setting, and
+`ConfigError`, a `ValueError`, is what every settings check raises.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -42,6 +44,23 @@ import numpy as np
 class ConfigError(ValueError):
     """Bad input: a run setting out of range (basis size, model constant, noise
     rate or fold level), or a circuit that is malformed or breaks its gate set."""
+
+
+def checked(name: str, value, kind: type = float, *, ge=None, gt=None, le=None):
+    """Return a numeric setting unchanged, or raise a `ConfigError` that names it.
+
+    An int setting takes integers (numpy's too) and no floats; a float setting
+    takes any finite real, numpy scalars included.  True/false is never a
+    number.  `ge`, `gt` and `le` are optional bounds.
+    """
+    if (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+            and not isinstance(value, bool) and -math.inf < value < math.inf
+            and (ge is None or value >= ge) and (gt is None or value > gt)
+            and (le is None or value <= le)):
+        return value
+    bounds = " and ".join(f"{op} {b}" for op, b in ((">=", ge), (">", gt), ("<=", le)) if b is not None)
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{name} must be {what}{f' {bounds}' if bounds else ''}, got {value!r}")
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -108,15 +127,10 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.angle is not None and not np.isfinite(self.angle):
-            raise ConfigError(f"non-finite angle in {self.kind}")
+        if self.angle is not None:
+            checked(f"{self.kind} angle", self.angle)
         if len(set(self.qubits)) != len(self.qubits):
             raise ConfigError(f"repeated qubit in {self.kind}{self.qubits}")
-
-
-def is_a(value, types) -> bool:
-    """`isinstance` that does not count true/false as numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass
@@ -191,15 +205,14 @@ class Circuit:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"circuit JSON line {exc.lineno} col {exc.colno}: {exc.msg}")
-        if (not isinstance(doc, dict) or not is_a(doc.get("n_qubits"), int)
-                or doc["n_qubits"] < 1 or not isinstance(doc.get("gates"), list)):
-            raise ConfigError("a circuit needs a positive integer n_qubits and a list of gates")
+        if not isinstance(doc, dict) or not isinstance(doc.get("gates"), list):
+            raise ConfigError("a circuit needs an n_qubits count and a list of gates")
+        checked("n_qubits", doc.get("n_qubits"), int, ge=1)
         for r in doc["gates"]:
             if (not isinstance(r, dict) or not isinstance(r.get("gate"), str)
-                    or not isinstance(r.get("q"), list) or not all(is_a(q, int) for q in r["q"])
-                    or not is_a(r.get("angle"), (int, float, type(None)))):
-                raise ConfigError(f"gate record {r!r} needs a kind string, a list of integer "
-                                  "qubits and a numeric angle if any")
+                    or not isinstance(r.get("q"), list) or not all(type(q) is int for q in r["q"])):
+                raise ConfigError(f"gate record {r!r} needs a kind string and a list of integer "
+                                  "qubits")
         return cls(doc["n_qubits"], [Gate(r["gate"], tuple(r["q"]), r.get("angle"))
                                      for r in doc["gates"]])
 

@@ -32,7 +32,7 @@ from .ansatz import (
     optimal_parameters,
     resolve_convention,
 )
-from .circuits import ConfigError, LogicalCircuit, NativeCircuit, is_a
+from .circuits import ConfigError, LogicalCircuit, NativeCircuit, checked
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
 from .driver import RunConfig, ScanSpec, convergence_report, landscape_scan, vqe_run
 from .estimator import (BASIS_LABELS, FIT_KINDS, ZnePoint, ZneSeries, basis_rotation_circuit,
@@ -285,15 +285,14 @@ def cmd_report(args) -> dict[str, Path]:
         for path in args.results:
             try:
                 doc = json.loads(_read(Path(path)))
-                n = doc["n_states"]
-                if not is_a(n, int) or n < 2:  # no vqe run has fewer than 2 states
-                    raise ValueError(f"n_states {n!r} is not an integer >= 2")
+                n = checked("n_states", doc["n_states"], int, ge=2)  # as in every vqe run
                 results[n] = (float(doc["energy"]), float(doc["sigma"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
                                f"numeric energy and sigma: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
+            checked("ns entry", n, int, ge=2)
             results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
     report = convergence_report(results, args.hbar_omega, args.v0)
     csv_path = out / "convergence.csv"

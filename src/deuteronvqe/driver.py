@@ -29,7 +29,6 @@ own stream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import ClassVar
@@ -44,7 +43,7 @@ from .ansatz import (
     energy_expectation_exact,
     optimal_parameters,
 )
-from .circuits import ConfigError, NativeCircuit, is_a
+from .circuits import ConfigError, NativeCircuit, checked
 from .compiler import optimize_native, transpile
 from .estimator import (
     FIT_KINDS,
@@ -111,18 +110,17 @@ class RunConfig:
     max_evals: int = 200
 
     def __post_init__(self):
-        def count(value) -> bool:  # numpy integers count, true/false do not
-            return is_a(value, numbers.Integral) and value >= 0
-
-        if not count(self.n_states) or self.n_states < 2:
-            raise ConfigError(f"pipeline runs need an integer n_states >= 2, got {self.n_states!r}")
-        if not self.fold_levels or not all(count(m) for m in self.fold_levels):
-            raise ConfigError(f"fold levels must be a non-empty list of integers m >= 0, "
-                              f"got {self.fold_levels!r}")
-        if not count(self.shots):
-            raise ConfigError(f"shots must be an integer >= 0 (0 selects exact mode), got {self.shots!r}")
-        if not count(self.seed):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        checked("n_states", self.n_states, int, ge=2)
+        self.eft()  # checks the model constants
+        if self.lambdas is not None:
+            HypersphericalParams(self.lambdas)  # checks the angles
+        if not self.fold_levels:
+            raise ConfigError("fold levels must be a non-empty list")
+        for m in self.fold_levels:
+            checked("fold level", m, int, ge=0)
+        checked("shots", self.shots, int, ge=0)
+        checked("seed", self.seed, int, ge=0)
+        checked("max_evals", self.max_evals, int, ge=1)
         if self.fit not in FIT_KINDS:
             raise ConfigError(f"fit must be one of {', '.join(FIT_KINDS)}, got {self.fit!r}")
         if self.noise is None:
@@ -352,10 +350,12 @@ class ScanSpec:
     fixed: tuple[float, ...]
 
     def __post_init__(self):
-        if not 0 <= self.index < len(self.fixed):
-            raise ConfigError(f"varied index {self.index} out of range for {len(self.fixed)} parameters")
+        checked("varied index", self.index, int, ge=0, le=len(self.fixed) - 1)
         if not self.values:
             raise ConfigError("empty value list")
+        for name, values in (("values", self.values), ("fixed", self.fixed)):
+            for v in values:
+                checked(f"{name} entry", v)
 
     def row_params(self, value: float) -> tuple[float, ...]:
         lam = list(self.fixed)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, ConfigError, frozen
+from .circuits import PAULI, checked, frozen
 
 DEFAULT_HBAR_OMEGA = 7.0
 DEFAULT_V0 = -5.68658
@@ -45,10 +45,9 @@ class EftConfig:
     v0: float = DEFAULT_V0
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ConfigError(f"n_states must be >= 1, got {self.n_states}")
-        if self.hbar_omega <= 0:
-            raise ConfigError(f"hbar_omega must be positive, got {self.hbar_omega}")
+        checked("n_states", self.n_states, int, ge=1)
+        checked("hbar_omega", self.hbar_omega, gt=0)
+        checked("v0", self.v0)
 
 
 def kinetic_element(n_prime: int, n: int, hbar_omega: float = DEFAULT_HBAR_OMEGA) -> float:

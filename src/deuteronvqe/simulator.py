@@ -20,13 +20,12 @@ Reproducibility: every histogram takes an explicit seed and draws from
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, frozen, is_a
+from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
 from .estimator import apply_confusion
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
@@ -61,8 +60,8 @@ class NoiseModel:
     readout: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if not all(is_a(p, numbers.Real) and 0.0 <= p <= 1.0 for p in (self.p1, self.p2)):
-            raise ConfigError(f"Pauli rates must be numbers in [0, 1], got {self.p1!r}, {self.p2!r}")
+        checked("p1", self.p1, ge=0, le=1)
+        checked("p2", self.p2, ge=0, le=1)
         mats = []
         for m in self.readout:
             m = np.asarray(m, dtype=float)
@@ -77,10 +76,9 @@ class NoiseModel:
     def ion_defaults(cls, n_qubits: int, p1: float = DEFAULT_P1, p2: float = DEFAULT_P2,
                      readout_eps: float = DEFAULT_READOUT_FLIP) -> NoiseModel:
         """One shared model per setting; every qubit shares one read-only flip matrix."""
-        if not all(is_a(v, numbers.Real) for v in (p1, p2, readout_eps)):  # and so hashable
-            raise ConfigError(f"noise rates must be numbers, got p1={p1!r}, p2={p2!r}, "
-                              f"readout_eps={readout_eps!r}")
-        return _ion_defaults(n_qubits, p1, p2, readout_eps)
+        for name, rate in (("p1", p1), ("p2", p2), ("readout_eps", readout_eps)):
+            checked(name, rate, ge=0, le=1)  # before the cache, which needs hashable arguments
+        return _ion_defaults(checked("n_qubits", n_qubits, int, ge=0), p1, p2, readout_eps)
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: a rate of 1 and one of 1.0 are separate entries
@@ -95,8 +93,7 @@ class FoldSpec:
     m: int
 
     def __post_init__(self):
-        if not is_a(self.m, numbers.Integral) or self.m < 0:
-            raise ConfigError(f"fold level m must be an integer >= 0, got {self.m!r}")
+        checked("fold level m", self.m, int, ge=0)
 
     @property
     def r(self) -> int:
@@ -195,8 +192,7 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     subject to the same single-qubit noise.  Each shot is an independent
     draw from diag(rho) pushed through the per-qubit readout matrices.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    checked("shots", shots, int, ge=1)
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")

@@ -6,6 +6,8 @@ by XX folding, so it leaves an r-independent bias (~+1 MeV for the
 three-state circuit) that extrapolation in r cannot remove.  The same
 pipeline passes the identical coverage check when the noise budget is
 dominated by XX gates (see test_driver.test_vqe_noisy_xx_only_covers_truth).
+The analysis, with the exact channel's intercepts for each fold scope and fit,
+is the exact-channel table under item 1 of ROADMAP.md.
 """
 import math
 import time
@@ -180,7 +182,7 @@ def test_criterion_5_zne_distribution():
         f"intercept covers the exact energy within 3 sigma for only "
         f"{covered}/{n_seeds} seeds. Rotation (single-qubit) noise is not "
         f"amplified by XX folding, so its ~+1 MeV bias survives extrapolation "
-        f"at the pinned defaults; see the decisions ledger for the analysis."
+        f"at the pinned defaults; see the exact-channel table under ROADMAP.md item 1."
     )
 
 

@@ -191,5 +191,9 @@ def test_circuit_serialization_shape():
 def test_params_validation():
     with pytest.raises(ValueError):
         HypersphericalParams((float("nan"),))
+    # a bad angle is bad input, named by its index
+    for bad in (float("inf"), -float("inf"), True, "0.1"):
+        with pytest.raises(ConfigError, match=r"lambdas\[1\]"):
+            HypersphericalParams((0.1, bad))
     with pytest.raises(ValueError):
         build_ansatz_circuit(3, HypersphericalParams((0.1,)))

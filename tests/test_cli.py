@@ -103,6 +103,19 @@ _BAD_CIRCUITS = {
 }
 
 
+# non-finite model constants and angles, and basis sizes below 2: the setting each names
+_NAMED_SETTINGS = {
+    ("ham", "--n", "2", "--hbar-omega", "nan"): "hbar_omega",
+    ("ham", "--n", "2", "--v0", "nan"): "v0",
+    ("ham", "--n", "2", "--v0", "inf"): "v0",
+    ("vqe", "--n", "2", "--shots", "0", "--hbar-omega", "inf"): "hbar_omega",
+    ("vqe", "--n", "2", "--shots", "0", "--v0", "inf"): "v0",
+    ("vqe", "--n", "2", "--shots", "0", "--lambdas", "nan"): "lambdas",
+    ("scan", "--n", "2", "--shots", "0", "--vary", "lambda0", "--values", "nan"): "values",
+    ("report", "--ns", "1,2"): "ns",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("vqe", "--n", "2", "--shots", "0", "--fold=-1"),
     ("vqe", "--n", "1", "--shots", "0"),
@@ -116,10 +129,11 @@ _BAD_CIRCUITS = {
     ("zne", "--series", "1:x:0.1"),
     *(("simulate", "--circuit", f"{{{name}}}") for name in _BAD_CIRCUITS),
     ("transpile", "--circuit", "{native_gates}"),
+    *_NAMED_SETTINGS,
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
-    # builder, the circuit loader or the CLI's own parsers exit 2, not 3
+    # builder, the angle check, the circuit loader or the CLI's own parsers exit 2, not 3
     files = {"circuit": NativeCircuit(2, []).to_json(),
              "native_gates": NativeCircuit(2, [Gate("rx", (0,), 0.5)]).to_json(), **_BAD_CIRCUITS}
     for name, text in files.items():
@@ -127,7 +141,8 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     out = [] if argv[0] == "zne" else ["--out", str(tmp_path)]  # zne writes no file
     assert run_cli(*argv, *out) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and _NAMED_SETTINGS.get(tuple(argv), "") in err
 
 
 @pytest.mark.parametrize("argv, rejected", [

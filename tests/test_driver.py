@@ -43,6 +43,12 @@ def test_run_config_validation():
                 {"n_states": 2.5}, {"seed": 1.5}):
         with pytest.raises(ConfigError):
             RunConfig(**{"n_states": 3, **bad})
+    # as are floats for integers, true/false, non-finite model constants and an empty budget
+    for bad in (lambda: EftConfig(2.5), lambda: EftConfig(True),
+                lambda: RunConfig(n_states=2, hbar_omega=float("nan")),
+                lambda: RunConfig(n_states=2, max_evals=-1)):
+        with pytest.raises(ConfigError):
+            bad()
     # numpy integers are integers
     assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fold_levels=(np.int32(0),)).shots == 5
     cfg = RunConfig(n_states=3)

@@ -273,6 +273,10 @@ def test_noise_model_validation():
     for bad in ({"p1": [0.1]}, {"p2": {}}, {"readout_eps": [0.1]}):
         with pytest.raises(ConfigError):
             NoiseModel.ion_defaults(2, **bad)
+    # a qubit count is an integer, not true/false or a float
+    for bad in (True, 2.0):
+        with pytest.raises(ConfigError):
+            NoiseModel.ion_defaults(bad)
 
 
 def test_ion_defaults_shared_and_frozen():

@@ -205,14 +205,13 @@ def cmd_zne(args) -> dict[str, Path]:
     for chunk in args.series.split(","):
         try:
             r, value, sigma = chunk.split(":")
-            points.append(ZnePoint(int(r), float(value), float(sigma)))
+            r, value, sigma = int(r), float(value), float(sigma)
         except ValueError as exc:
             raise CliError(f"series entries must be r:value:sigma, got {chunk!r}: {exc}", EXIT_USAGE)
-    try:
-        series = ZneSeries(points)
-        result = richardson_extrapolate(series, args.fit, weighted=not args.unweighted)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
+        points.append(ZnePoint(r, value, sigma))
+    # main exits 2 on the ConfigError of a point or series out of range, and
+    # 3 on the ValueError of a fit that cannot run
+    result = richardson_extrapolate(ZneSeries(points), args.fit, weighted=not args.unweighted)
     print(f"intercept: {result.intercept:.6f} +/- {result.intercept_sigma:.6f} MeV "
           f"(slope {result.slope:.6f}, {result.kind} fit)")
     return {}
@@ -286,10 +285,11 @@ def cmd_report(args) -> dict[str, Path]:
             try:
                 doc = json.loads(_read(Path(path)))
                 n = checked("n_states", doc["n_states"], int, ge=2)  # as in every vqe run
-                results[n] = (float(doc["energy"]), float(doc["sigma"]))
+                results[n] = (checked("energy", doc["energy"]),
+                              checked("sigma", doc["sigma"], ge=0))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
-                               f"numeric energy and sigma: {exc!r}", EXIT_USAGE)
+                               f"finite energy and sigma >= 0: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
             checked("ns entry", n, int, ge=2)

@@ -2,11 +2,13 @@
 
 One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, fold it at each requested level, draw
-per-setting shot histograms from the exact noise channel, invert readout
-confusion, form the energy with binomial errors, and extrapolate the
-(r, energy) series to r = 0.  With ``shots = 0`` each setting's histogram is
-replaced by the exact outcome distribution of the ideal statevector, fed to
-the same estimator, and the pipeline reproduces the analytic ansatz energy.
+per-setting shot histograms from the exact noise channel, read each
+histogram through its setting's energy row (readout inversion folded into
+the weights, built once per evaluation) for the energy and its multinomial
+sigma, and extrapolate the (r, energy) series to r = 0.  With ``shots = 0``
+each setting's histogram is replaced by the exact outcome distribution of
+the ideal statevector, fed to the same estimator, and the pipeline
+reproduces the analytic ansatz energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -47,17 +49,19 @@ from .circuits import ConfigError, NativeCircuit, checked
 from .compiler import optimize_native, transpile
 from .estimator import (
     FIT_KINDS,
+    MeasurementSetting,
     ZnePoint,
     ZneResult,
     ZneSeries,
     basis_rotation_circuit,
     energy_estimate,
+    fit_degree,
+    fit_matrix,
     histogram_dict,
+    linear_estimate,
     measurement_settings,
     polynomial_fit,
     richardson_extrapolate,
-    spam_correct,
-    term_expectation,
 )
 from .hamiltonian import (
     DEFAULT_HBAR_OMEGA,
@@ -114,6 +118,9 @@ class RunConfig:
         self.eft()  # checks the model constants
         if self.lambdas is not None:
             HypersphericalParams(self.lambdas)  # checks the angles
+            if len(self.lambdas) != self.n_states - 1:
+                raise ConfigError(f"lambdas must hold n_states - 1 = {self.n_states - 1} "
+                                  f"angles, got {len(self.lambdas)}")
         if not self.fold_levels:
             raise ConfigError("fold levels must be a non-empty list")
         for m in self.fold_levels:
@@ -184,24 +191,25 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     if pauli is None:
         pauli = jordan_wigner(h)
     native = prepared_native_circuit(cfg, params)
-    settings = measurement_settings(pauli)
+    # the weight rows read raw counts: readout inversion is folded into them
+    settings = measurement_settings(pauli, cfg.noise.readout if cfg.shots else ())
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
         state = run_ideal(native, zero_state(cfg.n_states))
         probs = {s.basis: run_ideal(basis_rotation_circuit(s.basis, cfg.n_states), state)
                  .probabilities() for s in settings}
-        energy, _ = energy_estimate(pauli, probs)
+        energy, _ = energy_estimate(pauli, probs, settings)
         # the ideal state does not depend on the fold level: nothing to extrapolate
         series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
-    points = []
-    per_term_series: dict[str, list[tuple[int, float, float]]] = {}
-    for m in sorted(set(cfg.fold_levels)):
+    levels = sorted(set(cfg.fold_levels))
+    histograms = []  # per fold level, the raw counts of each setting
+    for m in levels:
         folded = fold_circuit(native, FoldSpec(m))
-        histograms = {}
+        level = {}
         for bidx, setting in enumerate(settings):
             rotations = basis_rotation_circuit(setting.basis, cfg.n_states)
             child = _child_seed(cfg.seed, m, bidx)
@@ -212,37 +220,42 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
                     "setting": setting.basis, "shots": cfg.shots,
                     "seed": child, "counts": histogram_dict(counts),
                 })
-            if cfg.noise.readout:
-                counts = spam_correct(counts, cfg.noise.readout)
-            histograms[setting.basis] = counts
-        energy, sigma = energy_estimate(pauli, histograms)
-        points.append(ZnePoint(2 * m + 1, energy, sigma))
-        if cfg.per_term:
-            for setting in settings:
-                for coeff, word in setting.terms:
-                    mean, tsig = term_expectation(histograms[setting.basis], word)
-                    per_term_series.setdefault(word, []).append((2 * m + 1, mean, tsig))
-    series = ZneSeries(points)
+            level[setting.basis] = counts
+        histograms.append(level)
+    rs = [2 * m + 1 for m in levels]
+    series = ZneSeries([ZnePoint(r, *energy_estimate(pauli, level, settings))
+                        for r, level in zip(rs, histograms)])
 
     if cfg.per_term:
-        return series, _per_term_result(cfg, pauli, per_term_series)
+        return series, _per_term_result(cfg, pauli, settings, rs, histograms)
     return series, richardson_extrapolate(series, cfg.fit, cfg.weighted)
 
 
-def _per_term_result(cfg: RunConfig, pauli: PauliHamiltonian,
-                     per_term: dict[str, list[tuple[int, float, float]]]) -> ZneResult:
-    """Extrapolate each Hamiltonian term separately, then recombine."""
+def _per_term_result(cfg: RunConfig, pauli: PauliHamiltonian, settings: list[MeasurementSetting],
+                     rs: list[int], histograms: list[dict[str, np.ndarray]]) -> ZneResult:
+    """Extrapolate each Hamiltonian term separately, then recombine.
+
+    For fixed fit weights term k's intercept is sum_r a_{k,r} mean_k(r), a_k
+    the intercept row of its fit, so the recombined intercept reads each
+    (r, setting) histogram through one weight row, sum_k c_k a_{k,r} rows[k],
+    and its sigma counts the shots that the terms share.
+    """
+    deg = fit_degree(cfg.fit, len(rs))
     energy = pauli.identity_coefficient
     variance = 0.0
     slope = 0.0
-    for coeff, word in pauli.terms:
-        if word not in per_term:
-            continue
-        pts = ZneSeries([ZnePoint(r, v, s) for r, v, s in per_term[word]])
-        res = richardson_extrapolate(pts, cfg.fit, cfg.weighted)
-        energy += coeff * res.intercept
-        variance += (coeff * res.intercept_sigma) ** 2
-        slope += coeff * res.slope
+    for setting in settings:
+        counts = [level[setting.basis] for level in histograms]
+        combined = np.zeros((len(rs), setting.rows.shape[1]))
+        for (coeff, _), row in zip(setting.terms, setting.rows):
+            means, sigmas = zip(*(linear_estimate(row, q) for q in counts))
+            hmat, _ = fit_matrix(rs, sigmas, deg, cfg.weighted)
+            slope += coeff * float(hmat[-2] @ means)
+            combined += np.outer(coeff * hmat[-1], row)
+        for weights, q in zip(combined, counts):
+            mean, sigma = linear_estimate(weights, q)
+            energy += mean
+            variance += sigma * sigma
     return ZneResult(energy, math.sqrt(variance), slope, cfg.fit, weighted=cfg.weighted)
 
 

@@ -1,24 +1,34 @@
-"""From shot histograms to energies: grouping, SPAM inversion, extrapolation.
+"""From shot histograms to energies: grouping, readout inversion, extrapolation.
 
 The qubit Hamiltonians produced here contain only Z words, adjacent XX pairs
 and adjacent YY pairs, so three measurement settings (all-Z, all-X, all-Y)
-cover every term with qubit-wise commuting groups.  Per-term means carry
-binomial uncertainties sigma = sqrt((1 - mean^2)/shots); setting results are
-combined as independent (settings use disjoint shot budgets, cross-setting
-covariance is ignored).
+cover every term with qubit-wise commuting groups.
+
+Every estimate is a linear functional of a histogram q of N shots: a weight
+row w gives the mean w.q/N and the plug-in multinomial sigma
+sqrt((sum w^2 q/N - (w.q/N)^2)/N) (`linear_estimate`).  A term's row is its
+parity signs; a setting's energy row is the coefficient-weighted sum of its
+term rows, so sigma carries the covariance of terms read from the same
+shots.  Settings draw disjoint shots and add in quadrature.
+
+Readout is inverted in the weights, not in the data: the expectation of
+signs s on the corrected histogram A^T q, A the tensor product of the
+inverse per-qubit confusion matrices, is (A s).q, so each term row is pushed
+once through the inverse matrices and applied to the raw counts.  Sigma
+then includes the variance that the inversion adds.  `spam_correct` still
+inverts a histogram itself, for readers of count records; its
+quasi-probabilities may be slightly negative and are kept as-is, since
+clipping would bias the expectations.
 
 A histogram is a dense count vector of length 2^n indexed by basis state
 (qubit 0 the most significant bit); bit-string keys exist only in count
 records, read and written by `histogram_array` and `histogram_dict`.
 
-Readout is corrected by applying the tensor-product inverse of the per-qubit
-confusion matrices to the empirical distribution.  The resulting
-quasi-probabilities may be slightly negative and are propagated as-is:
-clipping would bias the expectations.
-
 Zero-noise extrapolation fits measured values against the noise parameter r
 (weighted least squares, weights 1/sigma^2) and reports the r = 0 intercept
-with the standard error from the fit covariance.
+with the standard error from the fit covariance.  The fit is linear in the
+values (`fit_matrix`), which lets an intercept be written as one weight row
+per histogram as well.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Gate, NativeCircuit, apply_matrix, frozen
+from .circuits import ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
 from .hamiltonian import PauliHamiltonian
 
 # pre-measurement rotations mapping each basis onto Z:
@@ -39,12 +49,18 @@ BASIS_LABELS = tuple(_BASIS_ROTATIONS)
 FIT_KINDS = ("linear", "quadratic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
-    """One measurement basis and the Hamiltonian terms it covers."""
+    """One measurement basis, the Hamiltonian terms it covers and their weights.
+
+    `rows[k]` is the weight row of term k on this setting's raw counts and
+    `weights` the energy row, sum_k c_k rows[k]; both read-only.
+    """
 
     basis: str
     terms: tuple[tuple[float, str], ...]
+    rows: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(slots=True)
@@ -52,6 +68,12 @@ class ZnePoint:
     r: int
     value: float
     sigma: float
+
+    def __post_init__(self):
+        if checked("noise parameter r", self.r, int, ge=1) % 2 == 0:
+            raise ConfigError(f"noise parameter r must be odd, got {self.r!r}")
+        checked("value", self.value)
+        checked("sigma", self.sigma, ge=0)
 
 
 @dataclass(slots=True)
@@ -61,9 +83,7 @@ class ZneSeries:
     def __post_init__(self):
         rs = [p.r for p in self.points]
         if len(set(rs)) != len(rs):
-            raise ValueError("duplicate r values in series")
-        if any(p.r % 2 == 0 or p.r < 1 for p in self.points):
-            raise ValueError("noise parameters r must be odd positive integers")
+            raise ConfigError(f"duplicate noise parameters r in series: {rs}")
 
 
 @dataclass(slots=True)
@@ -81,11 +101,13 @@ def _word_basis(word: str) -> str | None:
     return basis if basis in _BASIS_ROTATIONS else None
 
 
-def measurement_settings(h: PauliHamiltonian) -> list[MeasurementSetting]:
+def measurement_settings(h: PauliHamiltonian, readout=()) -> list[MeasurementSetting]:
     """Group all non-identity terms into the three single-basis settings.
 
-    Raises if a term mixes Pauli axes; that cannot happen for Hamiltonians
-    produced by the adjacent-hopping qubit mapping.
+    Each setting's weight rows read counts taken through the per-qubit
+    confusion matrices `readout` (none: counts read as they are).  Raises if
+    a term mixes Pauli axes; that cannot happen for Hamiltonians produced by
+    the adjacent-hopping qubit mapping.
     """
     grouped: dict[str, list[tuple[float, str]]] = {b: [] for b in BASIS_LABELS}
     for coeff, word in h.terms:
@@ -95,9 +117,14 @@ def measurement_settings(h: PauliHamiltonian) -> list[MeasurementSetting]:
                 continue
             raise ValueError(f"term {word!r} is not measurable in a single X/Y/Z basis")
         grouped[basis].append((coeff, word))
-    return [
-        MeasurementSetting(b, tuple(grouped[b])) for b in BASIS_LABELS if grouped[b]
-    ]
+    settings = []
+    for b in BASIS_LABELS:
+        if grouped[b]:
+            coeffs, words = zip(*grouped[b])
+            rows = weight_rows(words, readout)
+            settings.append(MeasurementSetting(b, tuple(grouped[b]), rows,
+                                               frozen(np.asarray(coeffs) @ rows)))
+    return settings
 
 
 def basis_rotation_circuit(basis: str, n_qubits: int) -> NativeCircuit:
@@ -140,32 +167,59 @@ def _parity_signs(word: str) -> np.ndarray:
                                    for letter in word], np.ones(1)))
 
 
-def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
-    """Parity estimate of one Pauli word from a dense (quasi-)histogram.
+def weight_rows(words, readout=()) -> np.ndarray:
+    """Read-only (len(words), 2^n) weight rows of Pauli words on raw counts.
 
-    Returns (mean, sigma) with the binomial sigma sqrt((1 - mean^2)/shots).
-    The histogram must come from the setting that covers the word.
+    Each row is the word's parity signs, pushed through the inverse of the
+    per-qubit confusion matrices `readout` when there are any: the signs s
+    on the corrected histogram A^T q equal (A s) on q.
+    """
+    rows = np.stack([_parity_signs(w) for w in words])
+    if readout:
+        # spam_correct(x, matrices) is A^T x; on the transposed matrices it is A x
+        rows = spam_correct(rows, [np.asarray(m).T for m in readout])
+    return frozen(rows)
+
+
+def linear_estimate(weights: np.ndarray, hist: np.ndarray) -> tuple[float, float]:
+    """Mean w.q/N of a weight row on a histogram q of N shots, and its sigma.
+
+    Sigma is the plug-in multinomial standard deviation
+    sqrt((sum w^2 q/N - (w.q/N)^2)/N), exact when q holds expected counts.
     """
     hist = np.asarray(hist)
-    if hist.shape != (2**len(word),):
-        raise ValueError(f"word {word!r} needs a histogram of shape ({2**len(word)},)")
+    if hist.shape != weights.shape:
+        raise ValueError(f"a weight row of length {len(weights)} needs a histogram "
+                         f"of shape ({len(weights)},)")
     total = float(hist.sum())
     if total <= 0:
         raise ValueError("histogram has no weight")
-    if set(word) <= {"I"}:
-        return 1.0, 0.0
-    mean = float(_parity_signs(word) @ hist) / total
-    sigma = math.sqrt(max(0.0, 1.0 - mean * mean) / total)
-    return mean, sigma
+    mean = float(weights @ hist) / total
+    second = float((weights * weights) @ hist) / total
+    return mean, math.sqrt(max(0.0, second - mean * mean) / total)
+
+
+def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
+    """Parity estimate of one Pauli word from a dense (quasi-)histogram.
+
+    Returns (mean, sigma); on raw counts, where every weight squares to
+    one, sigma is the binomial sqrt((1 - mean^2)/shots).  The histogram
+    must come from the setting that covers the word.
+    """
+    estimate = linear_estimate(_parity_signs(word), hist)
+    return (1.0, 0.0) if set(word) <= {"I"} else estimate
 
 
 def apply_confusion(hist, confusion):
-    """Push a distribution through per-qubit confusion matrices (true -> observed)."""
+    """Push a distribution through per-qubit confusion matrices (true -> observed).
+
+    A (B, 2^n) array is B distributions, pushed through together.
+    """
     n = len(confusion)
     if isinstance(hist, dict):  # a count record comes back as one
         return histogram_dict(apply_confusion(histogram_array(hist, n), confusion))
     hist = np.asarray(hist, dtype=float)
-    if hist.shape != (2**n,):
+    if hist.shape[-1:] != (2**n,) or hist.ndim > 2:
         raise ValueError(f"{n} readout matrices need a histogram of shape ({2**n},)")
     for q, m in enumerate(confusion):
         # out[..., j] = sum_i hist[..., i] * m[i, j], i.e. m^T acting on qubit q
@@ -188,21 +242,42 @@ def spam_correct(hist, confusion):
     return apply_confusion(hist, mats)
 
 
-def energy_estimate(h: PauliHamiltonian,
-                    histograms: dict[str, np.ndarray]) -> tuple[float, float]:
-    """Combine per-setting dense histograms into <H> with its statistical sigma."""
-    settings = measurement_settings(h)
+def energy_estimate(h: PauliHamiltonian, histograms: dict[str, np.ndarray],
+                    settings: list[MeasurementSetting] | None = None) -> tuple[float, float]:
+    """<H> and its sigma from one dense histogram per setting.
+
+    `settings` defaults to `measurement_settings(h)`, which reads the
+    histograms as they are; pass `measurement_settings(h, readout)` to read
+    raw counts taken through readout confusion.
+    """
+    if settings is None:
+        settings = measurement_settings(h)
     energy = h.identity_coefficient
     variance = 0.0
     for setting in settings:
         if setting.basis not in histograms:
             raise KeyError(f"missing histogram for the {setting.basis!r} setting")
-        counts = histograms[setting.basis]
-        for coeff, word in setting.terms:
-            mean, sigma = term_expectation(counts, word)
-            energy += coeff * mean
-            variance += (coeff * sigma) ** 2
+        mean, sigma = linear_estimate(setting.weights, histograms[setting.basis])
+        energy += mean
+        variance += sigma * sigma
     return energy, math.sqrt(variance)
+
+
+def fit_matrix(x, sigma, deg: int, weighted: bool = True) -> tuple[np.ndarray, bool]:
+    """The (deg + 1, len(x)) matrix H whose product with values y gives the
+    least-squares polynomial coefficients, highest power first, and whether
+    the fit uses weights 1/sigma^2.
+
+    Weights apply only when `weighted` and every sigma is positive; with
+    exactly deg + 1 points H is the inverse Vandermonde matrix either way.
+    """
+    x, sigma = (np.asarray(a, dtype=float) for a in (x, sigma))
+    use_weights = bool(weighted and np.all(sigma > 0))
+    v = np.vander(x, deg + 1)
+    if len(x) == deg + 1:
+        return np.linalg.inv(v), use_weights
+    root_w = 1.0 / sigma if use_weights else np.ones_like(x)
+    return np.linalg.pinv(v * root_w[:, None]) * root_w, use_weights
 
 
 def polynomial_fit(x, y, sigma, deg: int,
@@ -210,22 +285,30 @@ def polynomial_fit(x, y, sigma, deg: int,
     """Least-squares polynomial fit of y against x with its covariance.
 
     Returns (coefficients, highest power first; covariance; whether the
-    fit used weights 1/sigma^2).  Weights apply only when `weighted` and
-    every sigma is positive.  With exactly deg + 1 points polyfit cannot
-    estimate a covariance, so the point sigmas are propagated through the
-    Vandermonde solve instead.
+    fit used weights 1/sigma^2), with the fit of `fit_matrix`.  A weighted
+    fit, or one through exactly deg + 1 points, propagates the point sigmas;
+    an unweighted fit through more points scales its covariance by the
+    residual variance instead.
     """
     x, y, sigma = (np.asarray(a, dtype=float) for a in (x, y, sigma))
-    use_weights = bool(weighted and np.all(sigma > 0))
-    if len(x) == deg + 1:
-        v = np.vander(x, deg + 1)
-        coef = np.linalg.solve(v, y)
-        vinv = np.linalg.inv(v)
-        cov = vinv @ np.diag(np.where(sigma > 0, sigma, 0.0) ** 2) @ vinv.T
+    hmat, use_weights = fit_matrix(x, sigma, deg, weighted)
+    coef = hmat @ y
+    if use_weights or len(x) == deg + 1:
+        cov = (hmat * np.where(sigma > 0, sigma, 0.0) ** 2) @ hmat.T
     else:
-        coef, cov = np.polyfit(x, y, deg, w=1.0 / sigma if use_weights else None,
-                               cov="unscaled" if use_weights else True)
+        resid = y - np.vander(x, deg + 1) @ coef
+        cov = hmat @ hmat.T * (resid @ resid) / (len(x) - deg - 1)
     return coef, cov, use_weights
+
+
+def fit_degree(kind: str, n_points: int) -> int:
+    """Polynomial degree of a Richardson fit kind; raises unless n_points determine it."""
+    if kind not in FIT_KINDS:
+        raise ValueError(f"unknown fit kind {kind!r}")
+    deg = FIT_KINDS.index(kind) + 1
+    if n_points < deg + 1:
+        raise ValueError(f"{kind} fit needs at least {deg + 1} points, got {n_points}")
+    return deg
 
 
 def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
@@ -235,12 +318,8 @@ def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
     Falls back to an unweighted fit (flagged in the result) when any sigma
     is non-positive.
     """
-    if kind not in FIT_KINDS:
-        raise ValueError(f"unknown fit kind {kind!r}")
-    deg = FIT_KINDS.index(kind) + 1
     pts = series.points
-    if len(pts) < deg + 1:
-        raise ValueError(f"{kind} fit needs at least {deg + 1} points, got {len(pts)}")
+    deg = fit_degree(kind, len(pts))
     coef, cov, use_weights = polynomial_fit([p.r for p in pts], [p.value for p in pts],
                                             [p.sigma for p in pts], deg, weighted)
     intercept = float(coef[-1])

@@ -113,6 +113,8 @@ _NAMED_SETTINGS = {
     ("vqe", "--n", "2", "--shots", "0", "--lambdas", "nan"): "lambdas",
     ("scan", "--n", "2", "--shots", "0", "--vary", "lambda0", "--values", "nan"): "values",
     ("report", "--ns", "1,2"): "ns",
+    ("zne", "--series", "1:nan:0.1,3:-1:0.1,5:0:0.1"): "value",
+    ("zne", "--series", "2:-1:0.1,3:-1:0.1,5:0:0.1"): "noise parameter r",
 }
 
 
@@ -182,6 +184,9 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, reje
     '{"n_states": -3, "energy": -1.7, "sigma": 0.1}',
     '{"n_states": 0, "energy": -1.7, "sigma": 0.1}',
     '{"n_states": 1, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": 2, "energy": "nan", "sigma": 0.1}',
+    '{"n_states": 2, "energy": NaN, "sigma": 0.1}',
+    '{"n_states": 2, "energy": -1.7, "sigma": -0.1}',
 ])
 def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"

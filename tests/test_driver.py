@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from deuteronvqe import driver
 from deuteronvqe.ansatz import HypersphericalParams, energy_expectation_exact, optimal_parameters
 from deuteronvqe.circuits import ConfigError, NativeCircuit
 from deuteronvqe.driver import (
@@ -20,9 +22,9 @@ from deuteronvqe.driver import (
     zne_energy,
 )
 from deuteronvqe.estimator import (ZneResult, basis_rotation_circuit, energy_estimate,
-                                   measurement_settings)
-from deuteronvqe.hamiltonian import (EftConfig, build_oscillator_hamiltonian, exact_ground_energy,
-                                     jordan_wigner)
+                                   linear_estimate, measurement_settings, richardson_extrapolate)
+from deuteronvqe.hamiltonian import (EftConfig, PauliHamiltonian, build_oscillator_hamiltonian,
+                                     exact_ground_energy, jordan_wigner)
 from deuteronvqe.refdata import (
     LANDSCAPE_FIT_AVERAGE,
     LANDSCAPE_FIT_MINIMA,
@@ -49,6 +51,9 @@ def test_run_config_validation():
                 lambda: RunConfig(n_states=2, max_evals=-1)):
         with pytest.raises(ConfigError):
             bad()
+    # an angle list of the wrong length fails up front, naming the setting
+    with pytest.raises(ConfigError, match="lambdas"):
+        vqe_run(RunConfig(n_states=3, lambdas=(0.1,), shots=0))
     # numpy integers are integers
     assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fold_levels=(np.int32(0),)).shots == 5
     cfg = RunConfig(n_states=3)
@@ -217,6 +222,94 @@ def test_seed_ensemble_matches_exact_channel():
     for k, r in enumerate(rs):
         assert abs(z(energies[:, k], exact[k])) <= 4, r
     assert abs(z(intercepts, exact_intercept)) <= 4
+
+
+def _observed(gates, n, noise):
+    """Outcome distribution of a noisy circuit after readout, from dense matrices."""
+    probs = np.clip(np.diagonal(run_density(NativeCircuit(n, gates), noise)).real, 0.0, None)
+    observed = reduce(np.kron, noise.readout).T @ probs
+    return observed / observed.sum()
+
+
+def _z_signs(word):
+    """Parity signs of a word read in its own basis: the diagonal of its Z form."""
+    z_word = "".join("I" if c == "I" else "Z" for c in word)
+    return np.diagonal(PauliHamiltonian(len(word), [(1.0, z_word)]).to_matrix()).real
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
+    # fed the exact expected counts, every reported sigma is the exact SD of its
+    # estimator, a linear function of the multinomial counts: on each fold level's
+    # energy, on each per-term point and on the per-term intercept.  The oracle
+    # inverts the full 2^n readout matrix and uses the covariance N (diag p - p p^T).
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    pauli = jordan_wigner(h)
+    params, _ = optimal_parameters(h)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas, per_term=True)
+    shots = cfg.shots
+    monkeypatch.setattr(driver, "sample_shots_noisy", lambda folded, rotations, shots_, noise, seed:
+                        shots_ * _observed(folded.gates + rotations.gates, n, noise))
+    series, res = zne_energy(cfg, params, h, pauli)
+
+    inverse = np.linalg.inv(reduce(np.kron, cfg.noise.readout))
+    native = prepared_native_circuit(cfg, params)
+    rs = [2 * m + 1 for m in cfg.fold_levels]
+
+    def sd(g, p):
+        return math.sqrt(g @ (np.diag(p) - np.outer(p, p)) @ g / shots)
+
+    settings = measurement_settings(pauli)
+    observed = {(r, s.basis): _observed(fold_circuit(native, FoldSpec((r - 1) // 2)).gates
+                                        + basis_rotation_circuit(s.basis, n).gates, n, cfg.noise)
+                for r in rs for s in settings}
+    energy_rows = [inverse @ sum(c * _z_signs(w) for c, w in s.terms) for s in settings]
+    for point in series.points:
+        exact = math.sqrt(sum(sd(g, observed[point.r, s.basis]) ** 2
+                              for g, s in zip(energy_rows, settings)))
+        assert abs(point.sigma - exact) <= 1e-12, (point.r, point.sigma / exact)
+
+    intercept, variance = pauli.identity_coefficient, 0.0
+    for s, readout_rows in zip(settings, measurement_settings(pauli, cfg.noise.readout)):
+        combined = {r: 0.0 for r in rs}
+        for (c, w), row in zip(s.terms, readout_rows.rows):
+            g = inverse @ _z_signs(w)
+            means = [g @ observed[r, s.basis] for r in rs]
+            sigmas = [sd(g, observed[r, s.basis]) for r in rs]
+            for r, mean, sigma in zip(rs, means, sigmas):  # the per-term points
+                point = linear_estimate(row, shots * observed[r, s.basis])
+                assert abs(point[0] - mean) <= 1e-12 and abs(point[1] - sigma) <= 1e-12, (w, r)
+            # intercept row of the weighted straight-line fit through the term's points
+            v = np.vander(rs, 2)
+            vw = v.T / np.square(sigmas)
+            a = np.linalg.solve(vw @ v, vw)[-1]
+            intercept += c * (a @ means)
+            for r, a_r in zip(rs, a):
+                combined[r] = combined[r] + c * a_r * g
+        variance += sum(sd(combined[r], observed[r, s.basis]) ** 2 for r in rs)
+    assert abs(res.intercept - intercept) <= 1e-10
+    exact = math.sqrt(variance)
+    assert abs(res.intercept_sigma - exact) <= 1e-12, res.intercept_sigma / exact
+
+
+def test_intercept_sigma_matches_seed_ensemble_spread():
+    # over 200 seeds at n = 4 the mean reported intercept sigma lies within 10%
+    # of the intercepts' sample SD, for the energy fit and for the per-term fit
+    n = 4
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    pauli = jordan_wigner(h)
+    params, _ = optimal_parameters(h)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas, per_term=True)
+    plain, per_term = [], []
+    for seed in range(200):
+        series, res = zne_energy(replace(cfg, seed=seed), params, h, pauli)
+        fit = richardson_extrapolate(series, cfg.fit, cfg.weighted)
+        plain.append((fit.intercept, fit.intercept_sigma))
+        per_term.append((res.intercept, res.intercept_sigma))
+    for name, results in (("energy", plain), ("per-term", per_term)):
+        intercepts, sigmas = np.array(results).T
+        ratio = sigmas.mean() / intercepts.std(ddof=1)
+        assert 0.9 <= ratio <= 1.1, (name, ratio)
 
 
 def test_vqe_noisy_optimize_mechanics():

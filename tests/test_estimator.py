@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deuteronvqe.ansatz import build_ansatz_circuit, optimal_parameters
 from deuteronvqe.compiler import transpile
@@ -14,10 +15,13 @@ from deuteronvqe.estimator import (
     energy_estimate,
     histogram_array,
     histogram_dict,
+    linear_estimate,
     measurement_settings,
+    polynomial_fit,
     richardson_extrapolate,
     spam_correct,
     term_expectation,
+    weight_rows,
     _bit_labels,
     _parity_signs,
 )
@@ -152,6 +156,49 @@ def test_spam_inverse_roundtrip():
             # the record-dict branch gives bit-identical values
             assert histogram_dict(dense_observed) == apply_confusion(dist, mats)
             assert histogram_dict(dense_recovered) == spam_correct(apply_confusion(dist, mats), mats)
+
+
+@st.composite
+def _readout_case(draw):
+    """A distribution p, a Pauli word and non-singular per-qubit confusion matrices."""
+    n = draw(st.integers(1, 4))
+    rate = st.floats(0.0, 0.3)
+    confusion = tuple(np.array([[1 - a, a], [b, 1 - b]])
+                      for a, b in (draw(st.tuples(rate, rate)) for _ in range(n)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n)
+                   .filter(lambda w: sum(w) > 0.1))
+    word = draw(st.text("IXYZ", min_size=n, max_size=n))
+    return np.array(weights) / sum(weights), word, confusion
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_readout_case())
+def test_weight_rows_fold_readout_inversion(case):
+    # a word's weight row read on the readout-forwarded distribution gives the
+    # parity expectation on the distribution itself, and inverting readout on a
+    # forwarded distribution gives the distribution back
+    p, word, confusion = case
+    n = len(word)
+    mask = sum(1 << (n - 1 - q) for q, letter in enumerate(word) if letter != "I")
+    parity = sum(pi * (-1) ** bin(i & mask).count("1") for i, pi in enumerate(p))
+    observed = apply_confusion(p, confusion)
+    mean, sigma = linear_estimate(weight_rows([word], confusion)[0], observed)
+    assert abs(mean - parity) <= 1e-12 and sigma >= 0
+    assert np.abs(spam_correct(observed, confusion) - p).max() <= 1e-12
+
+
+def test_energy_sigma_counts_shared_shots():
+    # two Z terms read from one setting: sigma is the SD of their sum, not the
+    # quadrature sum of their binomial SDs.  {"00": 50, "11": 50} makes ZI and IZ
+    # perfectly correlated: ZI + IZ is +-2 with equal odds, SD 2/sqrt(100)
+    pauli = PauliHamiltonian(2, [(1.0, "ZI"), (1.0, "IZ")])
+    energy, sigma = energy_estimate(pauli, {"z": histogram_array({"00": 50, "11": 50}, 2)})
+    assert energy == 0.0 and sigma == pytest.approx(0.2, abs=1e-15)
+    # readout inversion widens sigma: the row of Z under flip rate 0.1 is +-1.25
+    rows = measurement_settings(PauliHamiltonian(1, [(1.0, "Z")]), (flip_matrix(0.1),))[0].rows
+    assert rows.tolist() == [[pytest.approx(1.25), pytest.approx(-1.25)]]
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
 
 
 def test_spam_hand_worked_example():
@@ -295,6 +342,23 @@ def test_series_validation():
         ZneSeries([ZnePoint(1, 0.0, 0.1), ZnePoint(1, 1.0, 0.1)])
     with pytest.raises(ValueError):
         ZneSeries([ZnePoint(2, 0.0, 0.1)])
+
+
+def test_polynomial_fit_matches_numpy_polyfit():
+    # the fit matrix gives numpy's least-squares coefficients and covariance:
+    # unscaled with weights 1/sigma^2, scaled by the residuals without
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        deg = int(rng.integers(1, 3))
+        x = np.sort(rng.uniform(-2.0, 8.0, size=int(rng.integers(deg + 2, 8))))
+        y, sigma = rng.normal(size=len(x)), rng.uniform(0.05, 1.0, size=len(x))
+        for weighted in (True, False):
+            coef, cov, used = polynomial_fit(x, y, sigma, deg, weighted)
+            ref, ref_cov = np.polyfit(x, y, deg, w=1.0 / sigma if weighted else None,
+                                      cov="unscaled" if weighted else True)
+            assert used == weighted
+            assert np.allclose(coef, ref, rtol=0, atol=1e-10)
+            assert np.allclose(cov, ref_cov, rtol=1e-9, atol=1e-12)
 
 
 def test_richardson_recovers_truth_on_synthetic_series():

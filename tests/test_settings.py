@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from deuteronvqe.ansatz import HypersphericalParams
 from deuteronvqe.circuits import ConfigError, Gate, NativeCircuit, checked
 from deuteronvqe.driver import RunConfig, ScanSpec
+from deuteronvqe.estimator import ZnePoint
 from deuteronvqe.hamiltonian import EftConfig
 from deuteronvqe.simulator import FoldSpec, NoiseModel, sample_shots_noisy
 
@@ -59,6 +60,11 @@ SETTINGS = {
     "sample_shots_noisy.shots": (int, lambda v: sample_shots_noisy(NativeCircuit(1), None, v,
                                                                    NoiseModel(), 0),
                                  st.integers(1, 10**6), st.integers(max_value=0)),
+    "ZnePoint.r": (int, lambda v: ZnePoint(v, 0.0, 0.1), st.integers(0, 50).map(lambda k: 2 * k + 1),
+                   st.integers(max_value=0) | st.integers(1, 50).map(lambda k: 2 * k)),
+    "ZnePoint.value": (float, lambda v: ZnePoint(1, v, 0.1), _reals(), None),
+    "ZnePoint.sigma": (float, lambda v: ZnePoint(1, 0.0, v), _reals(0.0),
+                       _reals(hi=0.0, exclude_max=True)),
 }
 
 # never a number: NaN, infinities, true/false (numpy's too) and a string

@@ -32,7 +32,6 @@ from .estimator import (
     measurement_settings,
     richardson_extrapolate,
     spam_correct,
-    term_expectation,
 )
 from .hamiltonian import (
     EftConfig,
@@ -47,12 +46,9 @@ from .hamiltonian import (
 from .simulator import (
     FoldSpec,
     NoiseModel,
-    Statevector,
     fold_circuit,
     run_density,
-    run_ideal,
     sample_shots_noisy,
-    zero_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

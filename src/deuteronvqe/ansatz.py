@@ -122,7 +122,8 @@ def build_ansatz_circuit(n_states: int, params: HypersphericalParams) -> Logical
     """
     checked("n_states", n_states, int, ge=2)
     if params.n_states != n_states:
-        raise ValueError(f"params describe {params.n_states} states, circuit wants {n_states}")
+        raise ConfigError(f"lambdas must hold n_states - 1 = {n_states - 1} angles, "
+                          f"got {len(params.lambdas)}")
     ang = RESOLVED_CONVENTION.effective_angles(params.lambdas)
     circ = LogicalCircuit(n_states, [Gate("prep_excite", (0,))])
     for i in range(n_states - 1):

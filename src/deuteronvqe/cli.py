@@ -138,13 +138,10 @@ def cmd_ham(args) -> dict[str, Path]:
 
 
 def _lambdas_for(args) -> tuple[float, ...]:
-    """--lambdas, checked against --n; the exact optimum when it is not given."""
+    """--lambdas; the exact optimum when it is not given."""
     if args.lambdas is None:
         return optimal_parameters(_hamiltonian(args, args.n))[0].lambdas
-    lam = _parse_list(args.lambdas)
-    if len(lam) != args.n - 1:
-        raise CliError(f"{args.n} states need {args.n - 1} angles, got {len(lam)}", EXIT_USAGE)
-    return lam
+    return _parse_list(args.lambdas)
 
 
 def cmd_ansatz(args) -> dict[str, Path]:

@@ -6,9 +6,10 @@ per-setting shot histograms from the exact noise channel, read each
 histogram through its setting's energy row (readout inversion folded into
 the weights, built once per evaluation) for the energy and its multinomial
 sigma, and extrapolate the (r, energy) series to r = 0.  With ``shots = 0``
-each setting's histogram is replaced by the exact outcome distribution of
-the ideal statevector, fed to the same estimator, and the pipeline
-reproduces the analytic ansatz energy.
+the circuit's one walk, `Circuit.apply`, runs the native circuit on
+|0...0> and then each setting's rotations on that state; the squared
+amplitudes stand in for the setting's histogram, read through the same
+weight rows, and the pipeline reproduces the analytic ansatz energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -79,9 +80,7 @@ from .simulator import (
     FoldSpec,
     NoiseModel,
     fold_circuit,
-    run_ideal,
     sample_shots_noisy,
-    zero_state,
 )
 
 
@@ -130,8 +129,17 @@ class RunConfig:
         checked("max_evals", self.max_evals, int, ge=1)
         if self.fit not in FIT_KINDS:
             raise ConfigError(f"fit must be one of {', '.join(FIT_KINDS)}, got {self.fit!r}")
+        if self.shots:  # an exact run does not fit
+            try:
+                fit_degree(self.fit, len(set(self.fold_levels)))
+            except ValueError as exc:
+                levels = ", ".join(str(m) for m in self.fold_levels)
+                raise ConfigError(f"fold levels ({levels}) give too few points: {exc}") from None
         if self.noise is None:
             self.noise = NoiseModel.ion_defaults(self.n_states)
+        elif self.noise.readout and len(self.noise.readout) != self.n_states:
+            raise ConfigError(f"noise readout must hold no matrices or n_states = {self.n_states}, "
+                              f"got {len(self.noise.readout)}")
 
     def eft(self) -> EftConfig:
         return EftConfig(self.n_states, self.hbar_omega, self.v0)
@@ -196,9 +204,11 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
-        state = run_ideal(native, zero_state(cfg.n_states))
-        probs = {s.basis: run_ideal(basis_rotation_circuit(s.basis, cfg.n_states), state)
-                 .probabilities() for s in settings}
+        state = np.zeros(2**cfg.n_states, dtype=complex)
+        state[0] = 1.0
+        state = native.apply(state)
+        probs = {s.basis: np.abs(basis_rotation_circuit(s.basis, cfg.n_states).apply(state)) ** 2
+                 for s in settings}
         energy, _ = energy_estimate(pauli, probs, settings)
         # the ideal state does not depend on the fold level: nothing to extrapolate
         series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
@@ -385,15 +395,14 @@ class ScanRow:
 
 def landscape_scan(cfg: RunConfig, spec: ScanSpec) -> list[ScanRow]:
     """One full pipeline run per value; theory column from the exact ansatz."""
-    if len(spec.fixed) != cfg.n_states - 1:
-        raise ValueError("scan parameter count does not match n_states")
     h = build_oscillator_hamiltonian(cfg.eft())
     pauli = jordan_wigner(h)
     rows = []
     for i, value in enumerate(spec.values):
         lambdas = spec.row_params(value)
         params = HypersphericalParams(lambdas)
-        # distinct, replayable shot streams per row (104729 tags the scan stream)
+        # distinct, replayable shot streams per row (104729 tags the scan stream);
+        # the new config checks the angle count
         row_cfg = replace(cfg, lambdas=lambdas, seed=_child_seed(cfg.seed, 104729, i))
         _, result = zne_energy(row_cfg, params, h, pauli)
         rows.append(ScanRow(lambdas, result, energy_expectation_exact(params, h)))

@@ -25,8 +25,9 @@ A histogram is a dense count vector of length 2^n indexed by basis state
 records, read and written by `histogram_array` and `histogram_dict`.
 
 Zero-noise extrapolation fits measured values against the noise parameter r
-(weighted least squares, weights 1/sigma^2) and reports the r = 0 intercept
-with the standard error from the fit covariance.  The fit is linear in the
+(weighted least squares, weights 1/sigma^2, by default) and reports the
+r = 0 intercept with the sigma that the fit propagates from the point
+sigmas, weighted or not.  The fit is linear in the
 values (`fit_matrix`), which lets an intercept be written as one weight row
 per histogram as well.
 """
@@ -199,17 +200,6 @@ def linear_estimate(weights: np.ndarray, hist: np.ndarray) -> tuple[float, float
     return mean, math.sqrt(max(0.0, second - mean * mean) / total)
 
 
-def term_expectation(hist: np.ndarray, word: str) -> tuple[float, float]:
-    """Parity estimate of one Pauli word from a dense (quasi-)histogram.
-
-    Returns (mean, sigma); on raw counts, where every weight squares to
-    one, sigma is the binomial sqrt((1 - mean^2)/shots).  The histogram
-    must come from the setting that covers the word.
-    """
-    estimate = linear_estimate(_parity_signs(word), hist)
-    return (1.0, 0.0) if set(word) <= {"I"} else estimate
-
-
 def apply_confusion(hist, confusion):
     """Push a distribution through per-qubit confusion matrices (true -> observed).
 
@@ -243,15 +233,13 @@ def spam_correct(hist, confusion):
 
 
 def energy_estimate(h: PauliHamiltonian, histograms: dict[str, np.ndarray],
-                    settings: list[MeasurementSetting] | None = None) -> tuple[float, float]:
+                    settings: list[MeasurementSetting]) -> tuple[float, float]:
     """<H> and its sigma from one dense histogram per setting.
 
-    `settings` defaults to `measurement_settings(h)`, which reads the
-    histograms as they are; pass `measurement_settings(h, readout)` to read
-    raw counts taken through readout confusion.
+    `measurement_settings(h)` reads the histograms as they are, and
+    `measurement_settings(h, readout)` reads raw counts taken through
+    readout confusion.
     """
-    if settings is None:
-        settings = measurement_settings(h)
     energy = h.identity_coefficient
     variance = 0.0
     for setting in settings:
@@ -285,15 +273,15 @@ def polynomial_fit(x, y, sigma, deg: int,
     """Least-squares polynomial fit of y against x with its covariance.
 
     Returns (coefficients, highest power first; covariance; whether the
-    fit used weights 1/sigma^2), with the fit of `fit_matrix`.  A weighted
-    fit, or one through exactly deg + 1 points, propagates the point sigmas;
-    an unweighted fit through more points scales its covariance by the
-    residual variance instead.
+    fit used weights 1/sigma^2), with the fit of `fit_matrix`.  The
+    covariance propagates the point sigmas, H diag(sigma^2) H^T, weighted
+    or not; only a fit through more than deg + 1 points of which some have
+    no sigma scales H H^T by the residual variance instead.
     """
     x, y, sigma = (np.asarray(a, dtype=float) for a in (x, y, sigma))
     hmat, use_weights = fit_matrix(x, sigma, deg, weighted)
     coef = hmat @ y
-    if use_weights or len(x) == deg + 1:
+    if np.all(sigma > 0) or len(x) == deg + 1:
         cov = (hmat * np.where(sigma > 0, sigma, 0.0) ** 2) @ hmat.T
     else:
         resid = y - np.vander(x, deg + 1) @ coef

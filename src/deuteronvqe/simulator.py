@@ -11,21 +11,21 @@ Every shot is an independent draw from diag(rho) pushed through the readout
 matrices, so `sample_shots_noisy`, the one sampler, returns a single
 multinomial draw: the int count vector of length 2^n indexed by basis state
 (qubit 0 the most significant bit) that the estimator consumes.  Ideal
-sampling is the case p1 = p2 = 0.  `run_ideal` is the pure-state engine
-behind shot-free (exact) runs, a call of the circuit's one walk,
-`Circuit.apply`; `run_density` takes its gate matrices from the same table.
+sampling is the case p1 = p2 = 0.  Shot-free (exact) runs need no engine
+here: they run the circuit's one walk, `Circuit.apply`, on the |0...0>
+vector, and `run_density` takes its gate matrices from the same table.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, Circuit, ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
+from .circuits import PAULI, ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
 from .estimator import apply_confusion
 
 PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
@@ -98,42 +98,6 @@ class FoldSpec:
     @property
     def r(self) -> int:
         return 2 * self.m + 1
-
-
-@dataclass
-class Statevector:
-    """n-qubit pure state; qubit 0 is the most significant index bit."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.amplitudes is None:
-            amps = np.zeros(2**self.n_qubits, dtype=complex)
-            amps[0] = 1.0
-            self.amplitudes = amps
-        else:
-            self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError("amplitude vector has wrong length")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} deviates from 1")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def zero_state(n_qubits: int) -> Statevector:
-    return Statevector(n_qubits)
-
-
-def run_ideal(circuit: Circuit, initial: Statevector) -> Statevector:
-    """Exact unitary application of a logical or native circuit, gate by gate."""
-    if initial.n_qubits != circuit.n_qubits:
-        raise ValueError("circuit and state qubit counts differ")
-    # an empty circuit returns what it is given, so give it a copy
-    return Statevector(circuit.n_qubits, circuit.apply(initial.amplitudes.copy()))
 
 
 def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:

@@ -27,7 +27,6 @@ from deuteronvqe.hamiltonian import (
     ground_state,
 )
 from deuteronvqe.refdata import LANDSCAPE_N4
-from deuteronvqe.simulator import run_ideal, zero_state
 
 
 def test_amplitudes_trivial_cases():
@@ -93,6 +92,9 @@ def test_circuit_gate_count_n4():
 def test_circuit_rejects_small_n():
     with pytest.raises(ValueError):
         build_ansatz_circuit(1, HypersphericalParams(()))
+    # an angle list of the wrong length is a settings error naming the angles
+    with pytest.raises(ConfigError, match="lambdas"):
+        build_ansatz_circuit(3, HypersphericalParams((0.1,)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -102,7 +104,7 @@ def test_circuit_state_matches_amplitudes(n):
         lam = tuple(rng.uniform(-math.pi, math.pi, size=n - 1))
         params = HypersphericalParams(lam)
         circ = build_ansatz_circuit(n, params)
-        psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
+        psi = circ.apply(np.eye(1, 2**n, dtype=complex)[0])
         target = one_hot_embedding(amplitudes(params))
         # equality up to global phase
         assert abs(abs(np.vdot(psi, target)) - 1.0) < 1e-10
@@ -112,7 +114,8 @@ def test_circuit_one_hot_support():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
         lam = tuple(rng.uniform(0, math.pi, size=n - 1))
-        psi = run_ideal(build_ansatz_circuit(n, HypersphericalParams(lam)), zero_state(n)).amplitudes
+        circ = build_ansatz_circuit(n, HypersphericalParams(lam))
+        psi = circ.apply(np.eye(1, 2**n, dtype=complex)[0])
         one_hot = {1 << (n - 1 - k) for k in range(n)}
         for idx, amp in enumerate(psi):
             if idx not in one_hot:
@@ -121,7 +124,7 @@ def test_circuit_one_hot_support():
 
 def test_lambda_zero_prepares_bare_excitation():
     circ = build_ansatz_circuit(2, HypersphericalParams((0.0,)))
-    psi = run_ideal(circ, zero_state(circ.n_qubits)).amplitudes
+    psi = circ.apply(np.array([1, 0, 0, 0], dtype=complex))
     assert psi[0b10] == pytest.approx(1.0)
 
 

@@ -111,6 +111,11 @@ _NAMED_SETTINGS = {
     ("vqe", "--n", "2", "--shots", "0", "--hbar-omega", "inf"): "hbar_omega",
     ("vqe", "--n", "2", "--shots", "0", "--v0", "inf"): "v0",
     ("vqe", "--n", "2", "--shots", "0", "--lambdas", "nan"): "lambdas",
+    ("vqe", "--n", "3", "--fold", "0", "--shots", "100"): "fold levels (0)",
+    ("ansatz", "--n", "3", "--lambdas", "0.1"): "lambdas",
+    ("transpile", "--n", "3", "--lambdas", "0.1"): "lambdas",
+    ("scan", "--n", "3", "--lambdas", "0.1", "--vary", "lambda0", "--values", "0.2",
+     "--shots", "0"): "lambdas",
     ("scan", "--n", "2", "--shots", "0", "--vary", "lambda0", "--values", "nan"): "values",
     ("report", "--ns", "1,2"): "ns",
     ("zne", "--series", "1:nan:0.1,3:-1:0.1,5:0:0.1"): "value",

@@ -21,8 +21,9 @@ from deuteronvqe.driver import (
     vqe_run,
     zne_energy,
 )
-from deuteronvqe.estimator import (ZneResult, basis_rotation_circuit, energy_estimate,
-                                   linear_estimate, measurement_settings, richardson_extrapolate)
+from deuteronvqe.estimator import (FIT_KINDS, ZneResult, basis_rotation_circuit,
+                                   energy_estimate, linear_estimate, measurement_settings,
+                                   richardson_extrapolate)
 from deuteronvqe.hamiltonian import (EftConfig, PauliHamiltonian, build_oscillator_hamiltonian,
                                      exact_ground_energy, jordan_wigner)
 from deuteronvqe.refdata import (
@@ -54,8 +55,19 @@ def test_run_config_validation():
     # an angle list of the wrong length fails up front, naming the setting
     with pytest.raises(ConfigError, match="lambdas"):
         vqe_run(RunConfig(n_states=3, lambdas=(0.1,), shots=0))
+    # fewer distinct fold levels than the fit needs fail up front, naming them;
+    # an exact run does not fit, so one level is enough there
+    for levels, fit in (((0,), "linear"), ((0, 0), "linear"), ((0, 1), "quadratic")):
+        with pytest.raises(ConfigError, match=r"fold levels \(0"):
+            RunConfig(n_states=3, shots=100, fold_levels=levels, fit=fit)
+    assert RunConfig(n_states=3, shots=0, fold_levels=(0,)).fold_levels == (0,)
+    # a noise model reads out every qubit or none
+    with pytest.raises(ConfigError, match="readout"):
+        RunConfig(n_states=3, noise=NoiseModel(0.001, 0.001, (np.eye(2),) * 2))
+    assert RunConfig(n_states=3, noise=NoiseModel(0.001, 0.001)).noise.readout == ()
     # numpy integers are integers
-    assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fold_levels=(np.int32(0),)).shots == 5
+    assert RunConfig(n_states=np.int64(3), shots=np.int64(5),
+                     fold_levels=(np.int32(0), np.int32(1))).shots == 5
     cfg = RunConfig(n_states=3)
     assert cfg.noise.p2 == 0.0075
     # the default model is one shared constant, not one per configuration
@@ -202,13 +214,14 @@ def test_seed_ensemble_matches_exact_channel():
     cfg = RunConfig(n_states=n, lambdas=params.lambdas, shots=2000, fold_levels=(0, 1, 2, 3),
                     weighted=False)
     native = prepared_native_circuit(cfg, params)
+    settings = measurement_settings(pauli)
     exact = []
     for m in cfg.fold_levels:
         folded = fold_circuit(native, FoldSpec(m))
         probs = {s.basis: np.diagonal(run_density(NativeCircuit(
                      n, folded.gates + basis_rotation_circuit(s.basis, n).gates), cfg.noise)).real
-                 for s in measurement_settings(pauli)}
-        exact.append(energy_estimate(pauli, probs)[0])
+                 for s in settings}
+        exact.append(energy_estimate(pauli, probs, settings)[0])
     rs = [2 * m + 1 for m in cfg.fold_levels]
     exact_intercept = np.polyfit(rs, exact, 1)[-1]
 
@@ -290,6 +303,54 @@ def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
     assert abs(res.intercept - intercept) <= 1e-10
     exact = math.sqrt(variance)
     assert abs(res.intercept_sigma - exact) <= 1e-12, res.intercept_sigma / exact
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_unweighted_sigma_agrees_with_per_term(n):
+    # without weights every term shares the energy's fit, so the plain and the
+    # per-term intercepts, and their propagated shot sigmas, are one number
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    pauli = jordan_wigner(h)
+    params, _ = optimal_parameters(h)
+    for fit in FIT_KINDS:
+        for seed in range(3):
+            cfg = RunConfig(n_states=n, lambdas=params.lambdas, fit=fit, weighted=False, seed=seed)
+            _, plain = zne_energy(cfg, params, h, pauli)
+            _, per_term = zne_energy(replace(cfg, per_term=True), params, h, pauli)
+            assert not plain.weighted and not per_term.weighted
+            assert abs(plain.intercept - per_term.intercept) <= 1e-12, (fit, seed)
+            assert abs(plain.intercept_sigma - per_term.intercept_sigma) <= 1e-12, (fit, seed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fit", FIT_KINDS)
+def test_unweighted_sigma_is_the_exact_sd(monkeypatch, n, fit):
+    # fed the exact expected counts, the unweighted intercept sigma, plain and
+    # per-term, is the exact SD of the ordinary least-squares intercept: the
+    # fit's intercept row a_r applied to each fold level's energy estimator
+    h = build_oscillator_hamiltonian(EftConfig(n))
+    pauli = jordan_wigner(h)
+    params, _ = optimal_parameters(h)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas, fit=fit, weighted=False)
+    monkeypatch.setattr(driver, "sample_shots_noisy", lambda folded, rotations, shots_, noise, seed:
+                        shots_ * _observed(folded.gates + rotations.gates, n, noise))
+    _, plain = zne_energy(cfg, params, h, pauli)
+    _, per_term = zne_energy(replace(cfg, per_term=True), params, h, pauli)
+
+    inverse = np.linalg.inv(reduce(np.kron, cfg.noise.readout))
+    native = prepared_native_circuit(cfg, params)
+    rs = [2 * m + 1 for m in cfg.fold_levels]
+    a = np.linalg.pinv(np.vander(rs, FIT_KINDS.index(fit) + 2))[-1]
+    variance = 0.0
+    for s in measurement_settings(pauli):
+        g = inverse @ sum(c * _z_signs(w) for c, w in s.terms)
+        for r, a_r in zip(rs, a):
+            p = _observed(fold_circuit(native, FoldSpec((r - 1) // 2)).gates
+                          + basis_rotation_circuit(s.basis, n).gates, n, cfg.noise)
+            variance += a_r * a_r * (g @ (np.diag(p) - np.outer(p, p)) @ g) / cfg.shots
+    exact = math.sqrt(variance)
+    for res in (plain, per_term):
+        assert abs(res.intercept_sigma - exact) <= 1e-12, res.intercept_sigma / exact
 
 
 def test_intercept_sigma_matches_seed_ensemble_spread():
@@ -393,7 +454,7 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         ScanSpec(0, (), (0.1, 0.2))
     cfg = RunConfig(n_states=4, shots=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="lambdas"):
         landscape_scan(cfg, ScanSpec(0, (0.1,), (0.1, 0.2)))
 
 

@@ -20,13 +20,12 @@ from deuteronvqe.estimator import (
     polynomial_fit,
     richardson_extrapolate,
     spam_correct,
-    term_expectation,
     weight_rows,
     _bit_labels,
     _parity_signs,
 )
 from deuteronvqe.hamiltonian import PauliHamiltonian, jordan_wigner
-from deuteronvqe.simulator import flip_matrix, run_ideal, zero_state
+from deuteronvqe.simulator import flip_matrix
 
 
 def test_settings_h2(pauli_h2):
@@ -66,12 +65,14 @@ def test_settings_reject_mixed_axis_terms():
         measurement_settings(p)
 
 
-def test_term_expectation_examples():
-    assert term_expectation(histogram_array({"10": 100}, 2), "ZZ") == (-1.0, 0.0)
-    mean, sigma = term_expectation(histogram_array({"00": 50, "11": 50}, 2), "ZI")
+def test_parity_row_examples():
+    # a word's row on raw counts is its parity signs, so sigma is sqrt((1 - mean^2)/shots)
+    zz, zi, ii = weight_rows(["ZZ", "ZI", "II"])
+    assert linear_estimate(zz, histogram_array({"10": 100}, 2)) == (-1.0, 0.0)
+    mean, sigma = linear_estimate(zi, histogram_array({"00": 50, "11": 50}, 2))
     assert mean == 0.0
     assert sigma == pytest.approx(0.1)
-    assert term_expectation(histogram_array({"01": 7}, 2), "II") == (1.0, 0.0)
+    assert linear_estimate(ii, histogram_array({"01": 7}, 2)) == (1.0, 0.0)
 
 
 def test_parity_signs_built_once_and_read_only():
@@ -90,19 +91,20 @@ def test_histogram_records_share_key_objects():
     assert all(key is _bit_labels(3)[int(key, 2)] for key in [*a, *b])
 
 
-def test_term_expectation_errors():
+def test_linear_estimate_errors():
+    zi = weight_rows(["ZI"])[0]
     with pytest.raises(ValueError):
-        term_expectation({}, "ZI")
+        linear_estimate(zi, {})
     with pytest.raises(ValueError, match="no weight"):
-        term_expectation(np.zeros(4), "ZI")
+        linear_estimate(zi, np.zeros(4))
     # a histogram of the wrong length, and the bit-string dicts whose short or
     # long keys were once read as if they covered every qubit
     for hist in (np.ones(2), np.ones(8), np.ones((2, 2)), {"10": 5, "1": 3}, {"101": 5}):
         with pytest.raises(ValueError, match=r"histogram of shape \(4,\)"):
-            term_expectation(hist, "ZI")
+            linear_estimate(zi, hist)
 
 
-def test_term_expectation_matches_diagonal_oracle():
+def test_parity_rows_match_diagonal_oracle():
     # every Z/I word at n = 1..4 against the diagonal of its dense matrix
     rng = np.random.default_rng(31)
     for n in range(1, 5):
@@ -111,7 +113,7 @@ def test_term_expectation_matches_diagonal_oracle():
             diag = np.diagonal(PauliHamiltonian(n, [(1.0, word)]).to_matrix()).real
             for _ in range(5):
                 p = rng.dirichlet(np.ones(2**n))
-                mean, _ = term_expectation(p, word)
+                mean, _ = linear_estimate(weight_rows([word])[0], p)
                 assert abs(mean - p @ diag) <= 1e-12, (word, mean, p @ diag)
 
 
@@ -192,7 +194,8 @@ def test_energy_sigma_counts_shared_shots():
     # quadrature sum of their binomial SDs.  {"00": 50, "11": 50} makes ZI and IZ
     # perfectly correlated: ZI + IZ is +-2 with equal odds, SD 2/sqrt(100)
     pauli = PauliHamiltonian(2, [(1.0, "ZI"), (1.0, "IZ")])
-    energy, sigma = energy_estimate(pauli, {"z": histogram_array({"00": 50, "11": 50}, 2)})
+    energy, sigma = energy_estimate(pauli, {"z": histogram_array({"00": 50, "11": 50}, 2)},
+                                    measurement_settings(pauli))
     assert energy == 0.0 and sigma == pytest.approx(0.2, abs=1e-15)
     # readout inversion widens sigma: the row of Z under flip rate 0.1 is +-1.25
     rows = measurement_settings(PauliHamiltonian(1, [(1.0, "Z")]), (flip_matrix(0.1),))[0].rows
@@ -226,49 +229,46 @@ def test_spam_rejects_malformed_keys():
             spam_correct(counts, (np.eye(2), np.eye(2)))
 
 
-def _exact_histograms(state, n, shots=1.0):
-    """Infinite-shot histograms: exact Born probabilities in each basis."""
-    return {basis: run_ideal(basis_rotation_circuit(basis, n), state).probabilities() * shots
-            for basis in ("z", "x", "y")}
+def _energy(pauli, state):
+    """Energy from infinite-shot histograms: exact Born probabilities in each basis."""
+    settings = measurement_settings(pauli)
+    probs = {s.basis: np.abs(basis_rotation_circuit(s.basis, pauli.n_qubits).apply(state)) ** 2
+             for s in settings}
+    return energy_estimate(pauli, probs, settings)
 
 
 def test_energy_estimate_bare_excitation(h2, pauli_h2):
-    from deuteronvqe.simulator import Statevector
-
-    state = Statevector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    energy, _ = energy_estimate(pauli_h2, _exact_histograms(state, 2))
+    energy, _ = _energy(pauli_h2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
     assert energy == pytest.approx(-0.43658, abs=1e-5)
 
 
 def test_energy_estimate_vacuum_is_zero(pauli_h2):
-    energy, sigma = energy_estimate(pauli_h2, _exact_histograms(zero_state(2), 2))
+    energy, sigma = _energy(pauli_h2, np.array([1, 0, 0, 0], dtype=complex))
     # the vacuum expectation of a number-conserving operator vanishes
     assert abs(energy) < 1e-12
 
 
 def test_energy_estimate_ground_state_infinite_shots(h2, pauli_h2):
     params, _ = optimal_parameters(h2)
-    state = run_ideal(transpile(build_ansatz_circuit(2, params)), zero_state(2))
-    energy, _ = energy_estimate(pauli_h2, _exact_histograms(state, 2))
+    state = transpile(build_ansatz_circuit(2, params)).apply(np.array([1, 0, 0, 0], dtype=complex))
+    energy, _ = _energy(pauli_h2, state)
     assert energy == pytest.approx(-1.749, abs=1e-3)
 
 
 def test_energy_estimate_matches_matrix_on_random_states(pauli_h2):
     rng = np.random.default_rng(17)
     hmat = pauli_h2.to_matrix()
-    from deuteronvqe.simulator import Statevector
-
     for _ in range(25):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
-        state = Statevector(2, v)
-        energy, _ = energy_estimate(pauli_h2, _exact_histograms(state, 2))
+        energy, _ = _energy(pauli_h2, v)
         assert energy == pytest.approx(float(np.real(v.conj() @ hmat @ v)), abs=1e-10)
 
 
 def test_energy_estimate_missing_setting(pauli_h2):
     with pytest.raises(KeyError):
-        energy_estimate(pauli_h2, {"z": np.array([1.0, 0.0, 0.0, 0.0])})
+        energy_estimate(pauli_h2, {"z": np.array([1.0, 0.0, 0.0, 0.0])},
+                        measurement_settings(pauli_h2))
 
 
 def test_richardson_exact_line():
@@ -345,20 +345,28 @@ def test_series_validation():
 
 
 def test_polynomial_fit_matches_numpy_polyfit():
-    # the fit matrix gives numpy's least-squares coefficients and covariance:
-    # unscaled with weights 1/sigma^2, scaled by the residuals without
+    # the fit matrix gives numpy's least-squares coefficients; with weights
+    # 1/sigma^2 numpy's unscaled covariance, without them the point sigmas
+    # propagated through the ordinary least-squares solution (V^T V)^-1 V^T,
+    # and only for points without sigmas numpy's residual-scaled covariance
     rng = np.random.default_rng(41)
     for _ in range(30):
         deg = int(rng.integers(1, 3))
         x = np.sort(rng.uniform(-2.0, 8.0, size=int(rng.integers(deg + 2, 8))))
         y, sigma = rng.normal(size=len(x)), rng.uniform(0.05, 1.0, size=len(x))
-        for weighted in (True, False):
-            coef, cov, used = polynomial_fit(x, y, sigma, deg, weighted)
-            ref, ref_cov = np.polyfit(x, y, deg, w=1.0 / sigma if weighted else None,
-                                      cov="unscaled" if weighted else True)
-            assert used == weighted
+        coef, cov, used = polynomial_fit(x, y, sigma, deg, True)
+        ref, ref_cov = np.polyfit(x, y, deg, w=1.0 / sigma, cov="unscaled")
+        assert used
+        assert np.allclose(coef, ref, rtol=0, atol=1e-10)
+        assert np.allclose(cov, ref_cov, rtol=1e-9, atol=1e-12)
+        v = np.vander(x, deg + 1)
+        ols = np.linalg.solve(v.T @ v, v.T)
+        ref, ref_cov = np.polyfit(x, y, deg, cov=True)
+        for point_sigma, want in ((sigma, ols @ np.diag(sigma**2) @ ols.T), (0 * sigma, ref_cov)):
+            coef, cov, used = polynomial_fit(x, y, point_sigma, deg, False)
+            assert not used
             assert np.allclose(coef, ref, rtol=0, atol=1e-10)
-            assert np.allclose(cov, ref_cov, rtol=1e-9, atol=1e-12)
+            assert np.allclose(cov, want, rtol=1e-9, atol=1e-12)
 
 
 def test_richardson_recovers_truth_on_synthetic_series():

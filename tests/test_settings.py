@@ -33,7 +33,8 @@ SETTINGS = {
     "RunConfig.lambdas": (float, lambda v: RunConfig(n_states=2, lambdas=(v,)), _ANGLE, None),
     "RunConfig.shots": (int, lambda v: RunConfig(n_states=2, shots=v), st.integers(0, 10**6),
                         st.integers(max_value=-1)),
-    "RunConfig.fold_levels": (int, lambda v: RunConfig(n_states=2, fold_levels=(0, v)),
+    # shots=0: an exact run does not fit, so (0, 0) is a valid pair of levels
+    "RunConfig.fold_levels": (int, lambda v: RunConfig(n_states=2, shots=0, fold_levels=(0, v)),
                               st.integers(0, 20), st.integers(max_value=-1)),
     "RunConfig.seed": (int, lambda v: RunConfig(n_states=2, seed=v), st.integers(0, 2**31 - 1),
                        st.integers(max_value=-1)),

@@ -16,13 +16,10 @@ from deuteronvqe.simulator import (
     PAULIS_2Q,
     FoldSpec,
     NoiseModel,
-    Statevector,
     flip_matrix,
     fold_circuit,
     run_density,
-    run_ideal,
     sample_shots_noisy,
-    zero_state,
     _pauli_channel,
 )
 
@@ -31,28 +28,23 @@ def _native(n, gates):
     return NativeCircuit(n, list(gates))
 
 
-def test_run_ideal_empty_circuit():
-    state = zero_state(3)
-    out = run_ideal(_native(3, []), state)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+def test_apply_empty_circuit():
+    state = np.eye(1, 8, dtype=complex)[0]  # |000>
+    out = _native(3, []).apply(state)
+    assert np.array_equal(out, state)
 
 
-def test_run_ideal_global_phase():
-    out = run_ideal(_native(1, [Gate("rx", (0,), 2 * math.pi)]), zero_state(1))
-    assert np.allclose(out.amplitudes, [-1.0, 0.0], atol=1e-12)
+def test_apply_global_phase():
+    out = _native(1, [Gate("rx", (0,), 2 * math.pi)]).apply(np.array([1.0, 0.0], dtype=complex))
+    assert np.allclose(out, [-1.0, 0.0], atol=1e-12)
 
 
-def test_run_ideal_dimension_mismatch():
-    with pytest.raises(ValueError):
-        run_ideal(_native(2, []), zero_state(3))
-
-
-def test_run_ideal_prepares_ansatz_state():
+def test_apply_prepares_ansatz_state():
     params = HypersphericalParams((0.25, 0.83))
     native = transpile(build_ansatz_circuit(3, params))
-    out = run_ideal(native, zero_state(3))
+    out = native.apply(np.eye(1, 8, dtype=complex)[0])
     target = one_hot_embedding(amplitudes(params))
-    assert abs(abs(np.vdot(out.amplitudes, target)) - 1.0) < 1e-9
+    assert abs(abs(np.vdot(out, target)) - 1.0) < 1e-9
 
 
 def test_norm_preserved_random_circuits():
@@ -67,8 +59,8 @@ def test_norm_preserved_random_circuits():
             else:
                 kind = str(rng.choice(["rx", "ry", "rz"]))
                 gates.append(Gate(kind, (int(rng.integers(0, n)),), float(rng.uniform(-4, 4))))
-        out = run_ideal(_native(n, gates), zero_state(n))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+        out = _native(n, gates).apply(np.eye(1, 2**n, dtype=complex)[0])
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_fold_m0_is_identity_transform():
@@ -100,8 +92,9 @@ def test_fold_identity_up_to_phase(m):
         Gate("xx", (1, 0), float(rng.uniform(-2, 2))),
     ]
     circ = _native(2, gates)
-    a = run_ideal(circ, zero_state(2)).amplitudes
-    b = run_ideal(fold_circuit(circ, FoldSpec(m)), zero_state(2)).amplitudes
+    ket0 = np.eye(1, 4, dtype=complex)[0]
+    a = circ.apply(ket0)
+    b = fold_circuit(circ, FoldSpec(m)).apply(ket0)
     assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-10
 
 
@@ -119,7 +112,7 @@ def _random_native(rng, n, n_gates):
 
 def test_density_zero_noise_equals_ideal():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)])
-    ideal = run_ideal(circ, zero_state(2)).amplitudes
+    ideal = circ.apply(np.eye(1, 4, dtype=complex)[0])
     rho = run_density(circ, NoiseModel(0.0, 0.0))
     assert np.allclose(np.outer(ideal, ideal.conj()), rho, atol=1e-12)
 
@@ -242,11 +235,6 @@ def test_sample_shots_noisy_deterministic():
     b = sample_shots_noisy(circ, None, 500, noise, seed=31)
     assert np.array_equal(a, b)
     assert a.sum() == 500
-
-
-def test_statevector_norm_guard():
-    with pytest.raises(ValueError):
-        Statevector(1, np.array([1.0, 1.0], dtype=complex))
 
 
 def test_noise_model_validation():

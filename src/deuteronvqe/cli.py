@@ -258,8 +258,9 @@ def cmd_scan(args) -> dict[str, Path]:
     except ValueError:
         raise CliError(f"--vary must be lambda0/lambda1/... or an index, got {args.vary!r}",
                        EXIT_USAGE)
-    spec = ScanSpec(index, _parse_list(args.values), _lambdas_for(args))
-    rows = landscape_scan(_run_config(args), spec)
+    fixed = _lambdas_for(args)
+    cfg = _run_config(args, lambdas=fixed)  # checks the angle count before the varied index
+    rows = landscape_scan(cfg, ScanSpec(index, _parse_list(args.values), fixed))
     out = Path(args.out)
     csv_path = out / f"scan_n{args.n}_{args.vary}.csv"
     header = [f"lambda{i}" for i in range(args.n - 1)] + ["experiment", "experiment_sigma", "theory"]

@@ -6,10 +6,11 @@ per-setting shot histograms from the exact noise channel, read each
 histogram through its setting's energy row (readout inversion folded into
 the weights, built once per evaluation) for the energy and its multinomial
 sigma, and extrapolate the (r, energy) series to r = 0.  With ``shots = 0``
-the circuit's one walk, `Circuit.apply`, runs the native circuit on
-|0...0> and then each setting's rotations on that state; the squared
-amplitudes stand in for the setting's histogram, read through the same
-weight rows, and the pipeline reproduces the analytic ansatz energy.
+`simulator.ideal_distributions` runs the native circuit on |0...0> with the
+circuit's one walk, `Circuit.apply`, and then each setting's rotations on
+that state; the squared amplitudes stand in for the setting's histogram,
+read through the same weight rows, and the pipeline reproduces the analytic
+ansatz energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -80,6 +81,7 @@ from .simulator import (
     FoldSpec,
     NoiseModel,
     fold_circuit,
+    ideal_distributions,
     sample_shots_noisy,
 )
 
@@ -204,12 +206,8 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
-        state = np.zeros(2**cfg.n_states, dtype=complex)
-        state[0] = 1.0
-        state = native.apply(state)
-        probs = {s.basis: np.abs(basis_rotation_circuit(s.basis, cfg.n_states).apply(state)) ** 2
-                 for s in settings}
-        energy, _ = energy_estimate(pauli, probs, settings)
+        rotations = {s.basis: basis_rotation_circuit(s.basis, cfg.n_states) for s in settings}
+        energy, _ = energy_estimate(pauli, ideal_distributions(native, rotations), settings)
         # the ideal state does not depend on the fold level: nothing to extrapolate
         series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)

@@ -10,10 +10,9 @@ by gate, and the test suite holds it against an independent channel oracle.
 Every shot is an independent draw from diag(rho) pushed through the readout
 matrices, so `sample_shots_noisy`, the one sampler, returns a single
 multinomial draw: the int count vector of length 2^n indexed by basis state
-(qubit 0 the most significant bit) that the estimator consumes.  Ideal
-sampling is the case p1 = p2 = 0.  Shot-free (exact) runs need no engine
-here: they run the circuit's one walk, `Circuit.apply`, on the |0...0>
-vector, and `run_density` takes its gate matrices from the same table.
+(qubit 0 the most significant bit) that the estimator consumes.  Exact
+runs read `ideal_distributions`: `Circuit.apply`, the circuit's one walk,
+on |0...0>, whose gate matrices `run_density` takes from the same table.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -146,6 +145,13 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
         sup = channels[len(g.qubits)] @ np.kron(u, u.conj())
         vec = apply_matrix(vec, sup, (*g.qubits, *(n + q for q in g.qubits)), 2 * n)
     return vec.reshape(2**n, 2**n)
+
+
+def ideal_distributions(circuit: NativeCircuit, rotations: dict) -> dict[str, np.ndarray]:
+    """Noise-free outcome probabilities of `circuit` then each named rotation
+    circuit, indexed like `sample_shots_noisy` counts; `circuit` is walked once."""
+    state = circuit.apply(np.eye(1, 2**circuit.n_qubits, dtype=complex)[0])  # from |0...0>
+    return {name: np.abs(r.apply(state)) ** 2 for name, r in rotations.items()}
 
 
 def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | None,

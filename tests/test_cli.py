@@ -116,6 +116,8 @@ _NAMED_SETTINGS = {
     ("transpile", "--n", "3", "--lambdas", "0.1"): "lambdas",
     ("scan", "--n", "3", "--lambdas", "0.1", "--vary", "lambda0", "--values", "0.2",
      "--shots", "0"): "lambdas",
+    ("scan", "--n", "3", "--lambdas", "0.1", "--vary", "lambda1", "--values", "0.2",
+     "--shots", "0"): "lambdas",
     ("scan", "--n", "2", "--shots", "0", "--vary", "lambda0", "--values", "nan"): "values",
     ("report", "--ns", "1,2"): "ns",
     ("zne", "--series", "1:nan:0.1,3:-1:0.1,5:0:0.1"): "value",

@@ -18,6 +18,7 @@ from deuteronvqe.simulator import (
     NoiseModel,
     flip_matrix,
     fold_circuit,
+    ideal_distributions,
     run_density,
     sample_shots_noisy,
     _pauli_channel,
@@ -115,6 +116,19 @@ def test_density_zero_noise_equals_ideal():
     ideal = circ.apply(np.eye(1, 4, dtype=complex)[0])
     rho = run_density(circ, NoiseModel(0.0, 0.0))
     assert np.allclose(np.outer(ideal, ideal.conj()), rho, atol=1e-12)
+
+
+def test_ideal_distributions_match_zero_noise_density():
+    # each setting's distribution is the diagonal of the noise-free channel run
+    # of the circuit followed by that setting's rotations
+    circ = _native(3, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5), Gate("xx", (1, 2), -0.3)])
+    rotations = {b: basis_rotation_circuit(b, 3) for b in ("z", "x", "y")}
+    probs = ideal_distributions(circ, rotations)
+    assert list(probs) == list(rotations)
+    for basis, rot in rotations.items():
+        rho = run_density(_native(3, circ.gates + rot.gates), NoiseModel(0.0, 0.0))
+        assert np.allclose(probs[basis], np.diagonal(rho).real, atol=1e-12)
+        assert math.isclose(probs[basis].sum(), 1.0, abs_tol=1e-12)
 
 
 def test_density_and_draw_deterministic_in_seed():

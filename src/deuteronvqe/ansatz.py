@@ -125,14 +125,14 @@ def build_ansatz_circuit(n_states: int, params: HypersphericalParams) -> Logical
         raise ConfigError(f"lambdas must hold n_states - 1 = {n_states - 1} angles, "
                           f"got {len(params.lambdas)}")
     ang = RESOLVED_CONVENTION.effective_angles(params.lambdas)
-    circ = LogicalCircuit(n_states, [Gate("prep_excite", (0,))])
+    gates = [Gate("prep_excite", (0,))]
     for i in range(n_states - 1):
         if i == 0:  # its control would be the freshly prepared |1>
-            circ.append("ry", (1,), float(ang[0]))
+            gates.append(Gate("ry", (1,), float(ang[0])))
         else:
-            circ.append("cry", (i, i + 1), float(ang[i]))
-        circ.append("cx", (i + 1, i))
-    return circ
+            gates.append(Gate("cry", (i, i + 1), float(ang[i])))
+        gates.append(Gate("cx", (i + 1, i)))
+    return LogicalCircuit(n_states, gates)
 
 
 def one_hot_embedding(amps: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ The two gate sets are subclasses that only set this table:
   (uncontrolled exp(-i*theta*Y)), ``cry`` (controlled exp(-i*theta*Y)), ``cx``
 - `NativeCircuit`: ``rx``/``ry``/``rz`` axis rotations and the two-qubit ``xx`` gate
 
-`Circuit` owns the one gate check, JSON in and out, and `Circuit.apply`, the
-one walk that runs a gate list through `apply_matrix`.
+A circuit is a frozen value whose `gates` tuple is checked once, when it is
+constructed, so one circuit can be shared: build a list of gates, then
+construct the circuit.  `Circuit` owns that one check, JSON in and out, and
+`Circuit.apply`, the one walk that runs the gates through `apply_matrix`.
 
 Fixed matrix conventions, used everywhere in the package:
 
@@ -35,7 +37,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -133,9 +135,10 @@ class Gate:
             raise ConfigError(f"repeated qubit in {self.kind}{self.qubits}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over the gate set in the class's `GATES` table.
+    """Frozen gate tuple over the gate set in the class's `GATES` table,
+    checked once on construction.
 
     `GATES[kind]` is (qubit count, matrix): the matrix is a function of the
     angle, or a fixed read-only array for a kind that takes no angle.
@@ -144,30 +147,20 @@ class Circuit:
     GATES: ClassVar[dict] = {}
 
     n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            self._check(g)
-
-    def _check(self, g: Gate):
-        if g.kind not in self.GATES:
-            raise ConfigError(f"{type(self).__name__} does not support gate kind {g.kind!r}")
-        arity, matrix = self.GATES[g.kind]
-        if len(g.qubits) != arity:
-            raise ConfigError(f"{g.kind} expects {arity} qubit(s), got {g.qubits}")
-        if any(not 0 <= q < self.n_qubits for q in g.qubits):
-            raise ConfigError(f"qubit index out of range in {g.kind}{g.qubits}")
-        if callable(matrix) != (g.angle is not None):
-            raise ConfigError(f"{g.kind} {'needs an' if callable(matrix) else 'takes no'} angle")
-
-    def append(self, kind: str, qubits: tuple[int, ...], angle: float | None = None):
-        self.extend([Gate(kind, qubits, angle)])
-
-    def extend(self, gates):
-        for g in gates:
-            self._check(g)
-            self.gates.append(g)
+            if g.kind not in self.GATES:
+                raise ConfigError(f"{type(self).__name__} does not support gate kind {g.kind!r}")
+            arity, matrix = self.GATES[g.kind]
+            if len(g.qubits) != arity:
+                raise ConfigError(f"{g.kind} expects {arity} qubit(s), got {g.qubits}")
+            if any(not 0 <= q < self.n_qubits for q in g.qubits):
+                raise ConfigError(f"qubit index out of range in {g.kind}{g.qubits}")
+            if callable(matrix) != (g.angle is not None):
+                raise ConfigError(f"{g.kind} {'needs an' if callable(matrix) else 'takes no'} angle")
 
     def xx_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "xx")
@@ -218,7 +211,7 @@ class Circuit:
 
 
 class LogicalCircuit(Circuit):
-    """Ordered gate list over the logical (ansatz-level) gate set."""
+    """Gate tuple over the logical (ansatz-level) gate set."""
 
     GATES = {
         "prep_excite": (1, PAULI["X"]),
@@ -230,6 +223,6 @@ class LogicalCircuit(Circuit):
 
 
 class NativeCircuit(Circuit):
-    """Ordered gate list over the trapped-ion native gate set."""
+    """Gate tuple over the trapped-ion native gate set."""
 
     GATES = {"rx": (1, rx_matrix), "ry": (1, ry_matrix), "rz": (1, rz_matrix), "xx": (2, xx_matrix)}

@@ -80,20 +80,20 @@ def decompose_cry(control: int, target: int, angle: float) -> list[Gate]:
 
 def transpile(circuit: LogicalCircuit) -> NativeCircuit:
     """Rewrite a logical circuit over the native gate set, unitary-preserving."""
-    out = NativeCircuit(circuit.n_qubits)
+    gates = []
     for g in circuit.gates:
         if g.kind == "prep_excite":
-            out.append("rx", g.qubits, math.pi)
+            gates.append(Gate("rx", g.qubits, math.pi))
         elif g.kind == "ry":
             # logical full-angle rotation -> native half-angle convention
-            out.append("ry", g.qubits, 2 * g.angle)
+            gates.append(Gate("ry", g.qubits, 2 * g.angle))
         elif g.kind == "cx":
-            out.extend(decompose_cnot(*g.qubits))
+            gates += decompose_cnot(*g.qubits)
         elif g.kind == "cry":
-            out.extend(decompose_cry(g.qubits[0], g.qubits[1], g.angle))
+            gates += decompose_cry(g.qubits[0], g.qubits[1], g.angle)
         else:
             raise ValueError(f"unsupported logical gate kind {g.kind!r}")
-    return out
+    return NativeCircuit(circuit.n_qubits, gates)
 
 
 def _commutes(a: Gate, b: Gate) -> bool:

@@ -55,7 +55,6 @@ from .estimator import (
     ZnePoint,
     ZneResult,
     ZneSeries,
-    basis_rotation_circuit,
     energy_estimate,
     fit_degree,
     fit_matrix,
@@ -206,7 +205,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
-        rotations = {s.basis: basis_rotation_circuit(s.basis, cfg.n_states) for s in settings}
+        rotations = {s.basis: s.rotations for s in settings}
         energy, _ = energy_estimate(pauli, ideal_distributions(native, rotations), settings)
         # the ideal state does not depend on the fold level: nothing to extrapolate
         series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
@@ -219,9 +218,8 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
         folded = fold_circuit(native, FoldSpec(m))
         level = {}
         for bidx, setting in enumerate(settings):
-            rotations = basis_rotation_circuit(setting.basis, cfg.n_states)
             child = _child_seed(cfg.seed, m, bidx)
-            counts = sample_shots_noisy(folded, rotations, cfg.shots, cfg.noise, child)
+            counts = sample_shots_noisy(folded, setting.rotations, cfg.shots, cfg.noise, child)
             if count_records is not None:
                 count_records.append({
                     "lambdas": lambdas, "r": 2 * m + 1,

@@ -54,11 +54,13 @@ FIT_KINDS = ("linear", "quadratic")
 class MeasurementSetting:
     """One measurement basis, the Hamiltonian terms it covers and their weights.
 
-    `rows[k]` is the weight row of term k on this setting's raw counts and
-    `weights` the energy row, sum_k c_k rows[k]; both read-only.
+    `rotations` maps the basis onto Z, built once per setting.  `rows[k]` is
+    the weight row of term k on this setting's raw counts and `weights` the
+    energy row, sum_k c_k rows[k]; both read-only.
     """
 
     basis: str
+    rotations: NativeCircuit
     terms: tuple[tuple[float, str], ...]
     rows: np.ndarray
     weights: np.ndarray
@@ -123,7 +125,8 @@ def measurement_settings(h: PauliHamiltonian, readout=()) -> list[MeasurementSet
         if grouped[b]:
             coeffs, words = zip(*grouped[b])
             rows = weight_rows(words, readout)
-            settings.append(MeasurementSetting(b, tuple(grouped[b]), rows,
+            settings.append(MeasurementSetting(b, basis_rotation_circuit(b, h.n_qubits),
+                                               tuple(grouped[b]), rows,
                                                frozen(np.asarray(coeffs) @ rows)))
     return settings
 

@@ -58,7 +58,6 @@ def landscape_column(index: int) -> list[LandscapeRow]:
 
 # reported per-parameter quadratic-fit minima and their average
 LANDSCAPE_FIT_MINIMA = (-2.080, -2.200, -1.946)
-LANDSCAPE_FIT_MINIMA_SIGMA = (0.151, 0.149, 0.124)
 LANDSCAPE_FIT_AVERAGE = -2.088
 
 # hardware results on other platforms, (n_states, energy, sigma), for the

@@ -3,16 +3,20 @@
 Noise model: after each XX gate, with probability p2 one of the fifteen
 non-identity two-qubit Paulis is applied to the pair (uniformly); after each
 single-qubit rotation, with probability p1 one of X/Y/Z is applied to that
-qubit.  Readout is an independent per-qubit confusion matrix.
+qubit: on k qubits (d = 2^k), the depolarizing channel (1 - lam) rho +
+lam Tr(rho) I/d, lam = p d^2/(d^2 - 1).  Readout is an independent per-qubit
+confusion matrix.
 
 `run_density` evolves the density matrix through this channel exactly, gate
 by gate, and the test suite holds it against an independent channel oracle.
-Every shot is an independent draw from diag(rho) pushed through the readout
-matrices, so `sample_shots_noisy`, the one sampler, returns a single
-multinomial draw: the int count vector of length 2^n indexed by basis state
-(qubit 0 the most significant bit) that the estimator consumes.  Exact
-runs read `ideal_distributions`: `Circuit.apply`, the circuit's one walk,
-on |0...0>, whose gate matrices `run_density` takes from the same table.
+`fold_circuit` builds the folded gate list and constructs one new circuit:
+circuits are frozen values, never edited in place.  Every shot is an
+independent draw from diag(rho) pushed through the readout matrices, so
+`sample_shots_noisy`, the one sampler, returns a single multinomial draw:
+the int count vector of length 2^n indexed by basis state (qubit 0 the most
+significant bit) that the estimator consumes.  Exact runs read
+`ideal_distributions`: `Circuit.apply`, the circuit's one walk, on |0...0>,
+whose gate matrices `run_density` takes from the same table.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -24,12 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PAULI, ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
+from .circuits import ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
 from .estimator import apply_confusion
-
-PAULIS_1Q = tuple(PAULI[a] for a in "XYZ")
-# 15 non-identity two-qubit Paulis, row-major in (first, second) qubit order
-PAULIS_2Q = tuple(frozen(np.kron(PAULI[a], PAULI[b])) for a in "IXYZ" for b in "IXYZ")[1:]
 
 # stream tag that keeps the measurement draw apart from other uses of the seed
 _STREAM_MEASURE = 0x6D65
@@ -105,12 +105,12 @@ def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
     The ideal unitary is unchanged; two-qubit noise exposure scales with
     r = 2m + 1.  All other gates pass through untouched.
     """
-    out = NativeCircuit(circuit.n_qubits)
+    gates = []
     for g in circuit.gates:
-        out.gates.append(g)
+        gates.append(g)
         if g.kind == "xx":
-            out.gates.extend([Gate("xx", g.qubits, -g.angle), g] * spec.m)
-    return out
+            gates += [Gate("xx", g.qubits, -g.angle), g] * spec.m
+    return NativeCircuit(circuit.n_qubits, gates)
 
 
 # cap the density matrix at 2^27 entries (2 GB complex), so n <= 13
@@ -119,12 +119,13 @@ _MAX_DENSITY_ENTRIES = 1 << 27
 
 @lru_cache(maxsize=64)
 def _pauli_channel(arity: int, p: float) -> np.ndarray:
-    """Superoperator (1-p) I + p/len(P) sum_P P (x) conj(P) acting on vec(rho),
-    over the non-identity Paulis P on `arity` qubits; built once per (arity, p)."""
-    paulis = PAULIS_1Q if arity == 1 else PAULIS_2Q
-    d = paulis[0].shape[0]
-    mix = sum(np.kron(pm, pm.conj()) for pm in paulis)
-    return frozen((1 - p) * np.eye(d * d) + (p / len(paulis)) * mix)
+    """Superoperator (1-lam) 1 + (lam/d) |vec I><vec I| of the Pauli channel on
+    `arity` qubits, d = 2^arity, lam = p d^2/(d^2-1), since sum_{P != I} P rho P^dag
+    = d Tr(rho) I - rho; built once per (arity, p)."""
+    d = 2**arity
+    lam = p * d * d / (d * d - 1)
+    vec_eye = np.eye(d).ravel()
+    return frozen((1 - lam) * np.eye(d * d) + (lam / d) * np.outer(vec_eye, vec_eye))
 
 
 def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
@@ -166,7 +167,7 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
-    full = NativeCircuit(n, circuit.gates + (basis_rotations.gates if basis_rotations else []))
+    full = NativeCircuit(n, circuit.gates + (basis_rotations.gates if basis_rotations else ()))
     # rounding can leave diagonal entries of order -1e-17
     probs = np.clip(np.diagonal(run_density(full, noise)).real, 0.0, None)
     if noise.readout:

@@ -2,7 +2,7 @@
 
 Criterion 5's coverage clause is asserted exactly as stated.  It is expected
 to fail at the pinned default noise rates: rotation noise is not amplified
-by XX folding, so it leaves an r-independent bias (~+1 MeV for the
+by XX folding, so it leaves an r-independent bias (about 0.85 MeV for the
 three-state circuit) that extrapolation in r cannot remove.  The same
 pipeline passes the identical coverage check when the noise budget is
 dominated by XX gates (see test_driver.test_vqe_noisy_xx_only_covers_truth).
@@ -44,6 +44,7 @@ from deuteronvqe.hamiltonian import (
 from deuteronvqe.refdata import (
     LANDSCAPE_FIT_AVERAGE,
     LANDSCAPE_FIT_MINIMA,
+    UCCS_EXACT_MINIMA,
     landscape_column,
 )
 from deuteronvqe.simulator import (
@@ -91,9 +92,8 @@ def test_criterion_1_hamiltonian_regression():
 
 def test_criterion_2_exact_minima():
     t0 = time.perf_counter()
-    refs = {2: -1.749, 3: -2.046, 4: -2.143}
     energies = {}
-    for n, ref in refs.items():
+    for n, ref in UCCS_EXACT_MINIMA.items():
         h = build_oscillator_hamiltonian(EftConfig(n))
         e_eig = exact_ground_energy(h)
         _, e_opt = optimal_parameters(h)
@@ -179,7 +179,7 @@ def test_criterion_5_zne_distribution():
     assert coverage >= 0.9, (
         f"intercept covers the exact energy within 3 sigma for only "
         f"{covered}/{n_seeds} seeds. Rotation (single-qubit) noise is not "
-        f"amplified by XX folding, so its ~+1 MeV bias survives extrapolation "
+        f"amplified by XX folding, so its bias of about 0.85 MeV survives extrapolation "
         f"at the pinned defaults; see the exact-channel table under ROADMAP.md item 1."
     )
 

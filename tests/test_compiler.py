@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from deuteronvqe.compiler import (
     unitary_equivalent,
     unitary_of,
 )
+from deuteronvqe.estimator import BASIS_LABELS, basis_rotation_circuit
 from deuteronvqe.simulator import FoldSpec, fold_circuit
 
 CX_MATRIX = np.array(
@@ -121,7 +123,7 @@ def test_decompose_cry(angle):
 
 def test_transpile_empty():
     native = transpile(LogicalCircuit(3, []))
-    assert native.gates == []
+    assert native.gates == ()
 
 
 def test_transpile_c2_xx_budget():
@@ -142,8 +144,7 @@ def test_transpile_ansatz_random_params(n):
 
 
 def test_transpile_rejects_unknown_gate():
-    circ = LogicalCircuit(2, [])
-    circ.gates.append(Gate("rx", (0,), 0.1))  # not a logical kind
+    circ = _native(2, [Gate("rx", (0,), 0.1)])  # not a logical kind
     with pytest.raises(ValueError, match="unsupported"):
         transpile(circ)
 
@@ -169,7 +170,7 @@ def test_transpiled_ansatz_nearest_neighbor_only():
 def test_optimize_cancels_inverse_xx_pair():
     circ = _native(2, [Gate("xx", (0, 1), 0.4), Gate("xx", (0, 1), -0.4)])
     out = optimize_native(circ)
-    assert out.gates == []
+    assert out.gates == ()
 
 
 def test_optimize_merges_rz():
@@ -203,7 +204,7 @@ def test_optimize_does_not_merge_blocked_rotations():
 
 def test_optimize_drops_full_turns():
     circ = _native(1, [Gate("rx", (0,), 2 * math.pi), Gate("ry", (0,), 4 * math.pi)])
-    assert optimize_native(circ).gates == []
+    assert optimize_native(circ).gates == ()
 
 
 def _random_native(rng, n, n_gates):
@@ -277,3 +278,20 @@ def test_one_circuit_walk_properties(circ):
     assert type(back) is NativeCircuit and back.n_qubits == n and back.gates == circ.gates
     for m in range(4):
         assert unitary_equivalent(unitary_of(fold_circuit(circ, FoldSpec(m))), u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(native_circuits(), st.integers(0, 3), st.sampled_from(BASIS_LABELS),
+       st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4))
+def test_every_builder_returns_a_frozen_circuit(circ, m, basis, lambdas):
+    # a circuit is a checked, hashable value that no caller can edit in place
+    logical = build_ansatz_circuit(len(lambdas) + 1, HypersphericalParams(tuple(lambdas)))
+    built = [logical, transpile(logical), optimize_native(circ), fold_circuit(circ, FoldSpec(m)),
+             basis_rotation_circuit(basis, circ.n_qubits), NativeCircuit.from_json(circ.to_json()),
+             LogicalCircuit.from_json(logical.to_json())]
+    for c in built:
+        assert type(c.gates) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates = ()
+        rebuilt = type(c)(c.n_qubits, c.gates)
+        assert rebuilt == c and hash(rebuilt) == hash(c)

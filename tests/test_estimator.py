@@ -387,7 +387,7 @@ def test_richardson_recovers_truth_on_synthetic_series():
 
 
 def test_basis_rotation_circuits():
-    assert basis_rotation_circuit("z", 3).gates == []
+    assert basis_rotation_circuit("z", 3).gates == ()
     x = basis_rotation_circuit("x", 2)
     assert all(g.kind == "ry" and g.angle == -math.pi / 2 for g in x.gates)
     y = basis_rotation_circuit("y", 2)

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,12 +10,10 @@ import pytest
 from conftest import evolve_density
 
 from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit, one_hot_embedding
-from deuteronvqe.circuits import ConfigError, Gate, NativeCircuit
+from deuteronvqe.circuits import PAULI, ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
-    PAULIS_1Q,
-    PAULIS_2Q,
     FoldSpec,
     NoiseModel,
     flip_matrix,
@@ -316,15 +316,17 @@ def test_density_memory_guard():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("arity, paulis", [(1, PAULIS_1Q), (2, PAULIS_2Q)])
-def test_pauli_channel_built_once_and_read_only(arity, paulis):
-    p = 0.0123
-    channel = _pauli_channel(arity, p)
-    assert _pauli_channel(arity, p) is channel
+@pytest.mark.parametrize("arity", [1, 2])
+def test_pauli_channel_built_once_and_read_only(arity):
+    # reference: the explicit mixture over the non-identity Paulis, qubit 0 first
+    paulis = [reduce(np.kron, (PAULI[a] for a in word))
+              for word in itertools.product("IXYZ", repeat=arity)][1:]
+    mix = sum(np.kron(q, q.conj()) for q in paulis)
     d = 2**arity
-    expected = (1 - p) * np.eye(d * d) + p / len(paulis) * sum(np.kron(q, q.conj()) for q in paulis)
-    assert np.array_equal(channel, expected)
-    with pytest.raises(ValueError):
-        channel[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        paulis[0][0, 0] = 0.0
+    for p in (0.005, 0.0075, 0.0123, 0.3):
+        channel = _pauli_channel(arity, p)
+        assert _pauli_channel(arity, p) is channel
+        expected = (1 - p) * np.eye(d * d) + p / len(paulis) * mix
+        assert np.allclose(channel, expected, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            channel[0, 0] = 0.0

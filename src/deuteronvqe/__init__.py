@@ -11,7 +11,6 @@ from .ansatz import (
     build_ansatz_circuit,
     energy_expectation_exact,
     optimal_parameters,
-    resolve_convention,
 )
 from .circuits import ConfigError, Gate, LogicalCircuit, NativeCircuit
 from .compiler import optimize_native, transpile, unitary_equivalent, unitary_of

@@ -9,13 +9,12 @@ parameterized by N-1 hyperspherical angles:
     a_{N-1} = sin g(l_0) ... sin g(l_{N-2})
 
 The published parameter values do not reproduce the published energies under
-a literal reading g(l) = l.  `resolve_convention` therefore scans a small
-candidate family (scaling, complement, sign flip, index reversal) for the
-one that reproduces the full reference landscape table.  The winner,
-g(l) = l/2 (`RESOLVED_CONVENTION`), is the package's one reading: circuits,
-the inverse map and the exact optimum use it, and only `amplitudes` and
-`energy_expectation_exact` take another, for the scan.  `convention_scan`
-exposes the full scan, and the CLI report command persists it.
+a literal reading g(l) = l.  The package has one reading, g(l) = l/2
+(`RESOLVED_CONVENTION`): circuits, the inverse map and the exact optimum use
+it, and only `amplitudes` and `energy_expectation_exact` take another.
+`convention_scan` checks the constant against the reference landscape table
+over a small candidate family (scaling, complement, sign flip, index
+reversal), and the CLI report command persists that scan.
 
 Circuit construction follows the published recipe: prepare |1 0 ... 0>, then
 shift amplitude rightwards one site at a time with a controlled-RY plus CX
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,7 +70,6 @@ class AngleConvention:
         return f"g(l) = {self.base}({s}l){r}"
 
 
-IDENTITY_CONVENTION = AngleConvention(base="identity")
 RESOLVED_CONVENTION = AngleConvention(base="half")
 
 CANDIDATE_CONVENTIONS = tuple(
@@ -183,20 +180,6 @@ def optimal_parameters(h: OscillatorHamiltonian) -> tuple[HypersphericalParams, 
     """
     energy, v = ground_state(h)
     return parameters_from_amplitudes(v), energy
-
-
-@lru_cache(maxsize=1)
-def resolve_convention() -> AngleConvention:
-    """Pick the candidate convention reproducing the reference landscape table.
-
-    Falls back to the identity reading if no candidate matches; either way
-    the outcome is visible in `convention_scan`.
-    """
-    report = convention_scan()
-    for entry in report:
-        if entry["resolved"]:
-            return AngleConvention(entry["base"], entry["sign"], entry["reversed"])
-    return IDENTITY_CONVENTION
 
 
 def convention_scan() -> list[dict]:

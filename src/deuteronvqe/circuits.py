@@ -122,13 +122,14 @@ def _controlled(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: kind name, qubit tuple, optional angle in radians."""
+    """One gate: kind name, qubit tuple (a list is stored as one), optional angle in radians."""
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.angle is not None:
             checked(f"{self.kind} angle", self.angle)
         if len(set(self.qubits)) != len(self.qubits):

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .ansatz import (
+    RESOLVED_CONVENTION,
     HypersphericalParams,
     build_ansatz_circuit,
     amplitudes,
     convention_scan,
     energy_expectation_exact,
     optimal_parameters,
-    resolve_convention,
 )
 from .circuits import ConfigError, LogicalCircuit, NativeCircuit, checked
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
@@ -184,12 +184,12 @@ def cmd_transpile(args) -> dict[str, Path]:
 def cmd_simulate(args) -> dict[str, Path]:
     native = NativeCircuit.from_json(_read(Path(args.circuit)))
     n = native.n_qubits
-    folded = fold_circuit(native, FoldSpec(args.fold_m))
+    spec = FoldSpec(args.fold_m)
+    folded = fold_circuit(native, spec)
     noise = NoiseModel.ion_defaults(n, args.p1, args.p2, args.readout_eps)
     rotations = basis_rotation_circuit(args.basis, n)
     counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
-    record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed,
-              "r": 2 * args.fold_m + 1}
+    record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed, "r": spec.r}
     out = Path(args.out)
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
     _write(files["counts"], json.dumps(record))
@@ -304,7 +304,7 @@ def cmd_report(args) -> dict[str, Path]:
 
     conventions = {
         "ansatz_convention": {
-            "resolved": resolve_convention().name,
+            "resolved": RESOLVED_CONVENTION.name,
             "scan": convention_scan(),
         },
         "gate_identities": gate_identity_report(),

@@ -192,43 +192,49 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
                count_records: list[dict] | None = None) -> tuple[ZneSeries, ZneResult]:
     """Full extrapolated energy estimate at fixed parameters.
 
-    Pass a list as `count_records` to capture one record per (r, setting)
-    with the raw histogram and its derived seed.
+    A given `h`, `pauli` or `params` that disagrees with `cfg` raises
+    `ConfigError`.  Pass a list as `count_records` to capture one record per
+    (r, setting) with the raw histogram and its derived seed.
     """
-    if h is None:
-        h = build_oscillator_hamiltonian(cfg.eft())
+    h_cfg = build_oscillator_hamiltonian(cfg.eft())
+    if h is not None and not np.array_equal(h.entries, h_cfg.entries):
+        raise ConfigError("h must be the Hamiltonian of cfg, build_oscillator_hamiltonian(cfg.eft())")
     if pauli is None:
-        pauli = jordan_wigner(h)
+        pauli = jordan_wigner(h_cfg)
+    elif pauli.n_qubits != cfg.n_states:
+        raise ConfigError(f"pauli must act on n_states = {cfg.n_states} qubits, got {pauli.n_qubits}")
+    if cfg.lambdas is not None and tuple(params.lambdas) != tuple(cfg.lambdas):
+        raise ConfigError(f"params {params.lambdas} differ from cfg.lambdas {tuple(cfg.lambdas)}")
     native = prepared_native_circuit(cfg, params)
     # the weight rows read raw counts: readout inversion is folded into them
     settings = measurement_settings(pauli, cfg.noise.readout if cfg.shots else ())
+    specs = [FoldSpec(m) for m in sorted(set(cfg.fold_levels))]
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
         rotations = {s.basis: s.rotations for s in settings}
         energy, _ = energy_estimate(pauli, ideal_distributions(native, rotations), settings)
         # the ideal state does not depend on the fold level: nothing to extrapolate
-        series = ZneSeries([ZnePoint(2 * m + 1, energy, 0.0) for m in sorted(set(cfg.fold_levels))])
+        series = ZneSeries([ZnePoint(spec.r, energy, 0.0) for spec in specs])
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
-    levels = sorted(set(cfg.fold_levels))
     histograms = []  # per fold level, the raw counts of each setting
-    for m in levels:
-        folded = fold_circuit(native, FoldSpec(m))
+    for spec in specs:
+        folded = fold_circuit(native, spec)
         level = {}
         for bidx, setting in enumerate(settings):
-            child = _child_seed(cfg.seed, m, bidx)
+            child = _child_seed(cfg.seed, spec.m, bidx)
             counts = sample_shots_noisy(folded, setting.rotations, cfg.shots, cfg.noise, child)
             if count_records is not None:
                 count_records.append({
-                    "lambdas": lambdas, "r": 2 * m + 1,
+                    "lambdas": lambdas, "r": spec.r,
                     "setting": setting.basis, "shots": cfg.shots,
                     "seed": child, "counts": histogram_dict(counts),
                 })
             level[setting.basis] = counts
         histograms.append(level)
-    rs = [2 * m + 1 for m in levels]
+    rs = [spec.r for spec in specs]
     series = ZneSeries([ZnePoint(r, *energy_estimate(pauli, level, settings))
                         for r, level in zip(rs, histograms)])
 

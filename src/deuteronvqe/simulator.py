@@ -10,9 +10,10 @@ confusion matrix.
 `run_density` evolves the density matrix through this channel exactly, gate
 by gate, and the test suite holds it against an independent channel oracle.
 `fold_circuit` builds the folded gate list and constructs one new circuit:
-circuits are frozen values, never edited in place.  Every shot is an
-independent draw from diag(rho) pushed through the readout matrices, so
-`sample_shots_noisy`, the one sampler, returns a single multinomial draw:
+circuits are frozen values, never edited in place.  `sample_shots_noisy`,
+the one sampler, evolves the circuit's gates, then the setting's rotations,
+and builds no joined circuit.  Every shot is an independent draw from
+diag(rho) pushed through the readout matrices, so it returns one multinomial draw:
 the int count vector of length 2^n indexed by basis state (qubit 0 the most
 significant bit) that the estimator consumes.  Exact runs read
 `ideal_distributions`: `Circuit.apply`, the circuit's one walk, on |0...0>,
@@ -138,14 +139,19 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
     n = circuit.n_qubits
     if 4**n > _MAX_DENSITY_ENTRIES:
         raise ValueError(f"density matrix of 4^{n} entries exceeds the memory guard")
+    vec = np.eye(1, 4**n, dtype=complex)[0]  # |0...0><0...0|
+    return _evolve(vec, circuit, circuit.gates, noise).reshape(2**n, 2**n)
+
+
+def _evolve(vec: np.ndarray, circuit: NativeCircuit, gates, noise: NoiseModel) -> np.ndarray:
+    """vec(rho) after `gates`, read in `circuit`'s gate set, each with its channel."""
+    n = circuit.n_qubits
     channels = {1: _pauli_channel(1, noise.p1), 2: _pauli_channel(2, noise.p2)}
-    vec = np.zeros(4**n, dtype=complex)
-    vec[0] = 1.0
-    for g in circuit.gates:
+    for g in gates:
         u = circuit.gate_matrix(g)
         sup = channels[len(g.qubits)] @ np.kron(u, u.conj())
         vec = apply_matrix(vec, sup, (*g.qubits, *(n + q for q in g.qubits)), 2 * n)
-    return vec.reshape(2**n, 2**n)
+    return vec
 
 
 def ideal_distributions(circuit: NativeCircuit, rotations: dict) -> dict[str, np.ndarray]:
@@ -167,9 +173,12 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
-    full = NativeCircuit(n, circuit.gates + (basis_rotations.gates if basis_rotations else ()))
+    rotations = basis_rotations.gates if basis_rotations is not None else ()
+    if any(g.kind not in circuit.GATES or max(g.qubits) >= n for g in rotations):
+        raise ConfigError(f"basis rotations must be native gates on qubits below {n}")
+    vec = _evolve(run_density(circuit, noise).ravel(), circuit, rotations, noise)
     # rounding can leave diagonal entries of order -1e-17
-    probs = np.clip(np.diagonal(run_density(full, noise)).real, 0.0, None)
+    probs = np.clip(np.diagonal(vec.reshape(2**n, 2**n)).real, 0.0, None)
     if noise.readout:
         probs = apply_confusion(probs, noise.readout)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))

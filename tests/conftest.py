@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from deuteronvqe.circuits import Gate, NativeCircuit
 from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, jordan_wigner
 
 
@@ -27,6 +29,21 @@ def pauli_h2(h2):
 @pytest.fixture(scope="session")
 def pauli_h4(h4):
     return jordan_wigner(h4)
+
+
+@st.composite
+def native_circuits(draw, max_qubits=4, max_gates=12):
+    n = draw(st.integers(1, max_qubits))
+    angles = st.floats(-4.0, 4.0, allow_nan=False)
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        if n >= 2 and draw(st.booleans()):
+            pair = tuple(draw(st.permutations(range(n)))[:2])  # both XX qubit orders
+            gates.append(Gate("xx", pair, draw(angles)))
+        else:
+            kind = draw(st.sampled_from(["rx", "ry", "rz"]))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), draw(angles)))
+    return NativeCircuit(n, gates)
 
 
 # --- independent density-matrix channel oracle (tests only) ---

@@ -17,12 +17,12 @@ import numpy as np
 from conftest import evolve_density
 
 from deuteronvqe.ansatz import (
+    RESOLVED_CONVENTION,
     HypersphericalParams,
     amplitudes,
     build_ansatz_circuit,
     convention_scan,
     optimal_parameters,
-    resolve_convention,
 )
 from deuteronvqe.circuits import Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile, unitary_equivalent, unitary_of
@@ -113,7 +113,7 @@ def test_criterion_3_convention_resolution():
     t0 = time.perf_counter()
     scan = convention_scan()
     winners = [e for e in scan if e["resolved"]]
-    conv = resolve_convention()
+    conv = RESOLVED_CONVENTION  # the one reading of every circuit and optimum
     h4 = build_oscillator_hamiltonian(EftConfig(4))
     rows = {row.lambdas: row for col in (0, 1, 2) for row in landscape_column(col)}
     worst = max(
@@ -121,10 +121,12 @@ def test_criterion_3_convention_resolution():
         for lam, row in rows.items()
     )
     elapsed = time.perf_counter() - t0
-    ok = len(winners) >= 1 and worst <= 5e-3 and elapsed < 10.0
+    names = [e["name"] for e in winners]
+    ok = names == [conv.name] and worst <= 5e-3 and elapsed < 10.0
     _report(3, "parameter-convention resolution", ok,
-            f"winner {conv.name!r}, 13-row max error {worst:.2e}, {elapsed:.2f}s")
-    assert winners, "no candidate convention reproduces the reference table"
+            f"scan resolves {names}, pipeline reads {conv.name!r}, "
+            f"13-row max error {worst:.2e}, {elapsed:.2f}s")
+    assert names == [conv.name], f"the scan resolves {names}, not the pipeline's {conv.name!r}"
     assert worst <= 5e-3
     assert elapsed < 10.0
 

@@ -8,7 +8,6 @@ from deuteronvqe.ansatz import (
     AngleConvention,
     CANDIDATE_CONVENTIONS,
     HypersphericalParams,
-    IDENTITY_CONVENTION,
     RESOLVED_CONVENTION,
     amplitudes,
     build_ansatz_circuit,
@@ -17,7 +16,6 @@ from deuteronvqe.ansatz import (
     one_hot_embedding,
     optimal_parameters,
     parameters_from_amplitudes,
-    resolve_convention,
 )
 from deuteronvqe.circuits import ConfigError, LogicalCircuit
 from deuteronvqe.hamiltonian import (
@@ -28,16 +26,18 @@ from deuteronvqe.hamiltonian import (
 )
 from deuteronvqe.refdata import LANDSCAPE_N4
 
+IDENTITY = AngleConvention(base="identity")
+
 
 def test_amplitudes_trivial_cases():
     assert np.allclose(amplitudes(HypersphericalParams((0.0,))), [1.0, 0.0])
-    a = amplitudes(HypersphericalParams((math.pi / 2, math.pi / 2)), IDENTITY_CONVENTION)
+    a = amplitudes(HypersphericalParams((math.pi / 2, math.pi / 2)), IDENTITY)
     assert np.allclose(a, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_amplitudes_direct_formula():
     # oracle: cos/sin chain evaluated directly
-    a = amplitudes(HypersphericalParams((0.25, 0.83)), IDENTITY_CONVENTION)
+    a = amplitudes(HypersphericalParams((0.25, 0.83)), IDENTITY)
     expect = [
         math.cos(0.25),
         math.sin(0.25) * math.cos(0.83),
@@ -52,19 +52,22 @@ def test_amplitudes_unit_norm_random():
     for _ in range(1000):
         n = rng.integers(2, 9)
         lam = rng.uniform(-2 * math.pi, 2 * math.pi, size=n - 1)
-        for conv in (RESOLVED_CONVENTION, IDENTITY_CONVENTION):
+        for conv in (RESOLVED_CONVENTION, IDENTITY):
             a = amplitudes(HypersphericalParams(tuple(lam)), conv)
             assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
 
-def test_convention_resolution_winner():
-    conv = resolve_convention()
-    assert conv == AngleConvention(base="half", sign=1, reversed=False)
+def test_convention_resolution_winner(h4):
+    # the scan resolves exactly the constant that the pipeline computes with
+    assert RESOLVED_CONVENTION == AngleConvention(base="half", sign=1, reversed=False)
     scan = convention_scan()
     winners = [e for e in scan if e["resolved"]]
-    assert len(winners) == 1
+    assert [w["name"] for w in winners] == [RESOLVED_CONVENTION.name]
     assert winners[0]["max_error"] <= 5e-3
     assert len(scan) == len(CANDIDATE_CONVENTIONS)
+    for row in LANDSCAPE_N4:
+        e = energy_expectation_exact(HypersphericalParams(row.lambdas), h4, RESOLVED_CONVENTION)
+        assert abs(e - row.predicted) <= 5e-3
 
 
 def test_landscape_table_under_resolved_convention(h4):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _full_op
+from conftest import _full_op, native_circuits
 
 from deuteronvqe.ansatz import HypersphericalParams, build_ansatz_circuit
 from deuteronvqe.circuits import PAULI, PAULI_XX, Gate, LogicalCircuit, NativeCircuit, apply_matrix, xx_matrix
@@ -251,21 +251,6 @@ def test_gate_angle_validation():
         LogicalCircuit(2, [Gate("cry", (0, 1))])
 
 
-@st.composite
-def native_circuits(draw, max_qubits=4, max_gates=12):
-    n = draw(st.integers(1, max_qubits))
-    angles = st.floats(-4.0, 4.0, allow_nan=False)
-    gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
-        if n >= 2 and draw(st.booleans()):
-            pair = tuple(draw(st.permutations(range(n)))[:2])  # both XX qubit orders
-            gates.append(Gate("xx", pair, draw(angles)))
-        else:
-            kind = draw(st.sampled_from(["rx", "ry", "rz"]))
-            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), draw(angles)))
-    return NativeCircuit(n, gates)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(native_circuits())
 def test_one_circuit_walk_properties(circ):
@@ -295,3 +280,11 @@ def test_every_builder_returns_a_frozen_circuit(circ, m, basis, lambdas):
             c.gates = ()
         rebuilt = type(c)(c.n_qubits, c.gates)
         assert rebuilt == c and hash(rebuilt) == hash(c)
+    # a gate given its qubits as a list stores a tuple: the circuit equals
+    # and hashes like its tuple twin
+    as_lists = NativeCircuit(circ.n_qubits, [Gate(g.kind, list(g.qubits), g.angle) for g in circ.gates])
+    assert all(type(g.qubits) is tuple for g in as_lists.gates)
+    assert as_lists == circ and hash(as_lists) == hash(circ)
+    single = NativeCircuit(1, [Gate("rx", [0], 0.1)])
+    assert single == NativeCircuit(1, [Gate("rx", (0,), 0.1)])
+    assert hash(single) == hash(NativeCircuit(1, [Gate("rx", (0,), 0.1)]))

@@ -24,8 +24,9 @@ from deuteronvqe.driver import (
 from deuteronvqe.estimator import (FIT_KINDS, ZneResult, basis_rotation_circuit,
                                    energy_estimate, linear_estimate, measurement_settings,
                                    richardson_extrapolate)
-from deuteronvqe.hamiltonian import (EftConfig, PauliHamiltonian, build_oscillator_hamiltonian,
-                                     exact_ground_energy, jordan_wigner)
+from deuteronvqe.hamiltonian import (EftConfig, OscillatorHamiltonian, PauliHamiltonian,
+                                     build_oscillator_hamiltonian, exact_ground_energy,
+                                     jordan_wigner)
 from deuteronvqe.refdata import (
     LANDSCAPE_FIT_AVERAGE,
     LANDSCAPE_FIT_MINIMA,
@@ -126,6 +127,25 @@ def test_zne_count_records():
     # one evaluation's records share one parameter list
     assert records[0]["lambdas"] == list(lam)
     assert all(r["lambdas"] is records[0]["lambdas"] for r in records)
+
+
+@pytest.mark.parametrize("shots", [0, 300])
+def test_zne_rejects_inputs_that_disagree_with_config(h3, h4, shots):
+    lam = (0.76, 0.70)
+    params = HypersphericalParams(lam)
+    cfg = RunConfig(n_states=3, lambdas=lam, shots=shots)
+    cases = [
+        ("h", cfg, params, dict(h=h4)),                                # another size
+        ("pauli", cfg, params, dict(h=h3, pauli=jordan_wigner(h4))),  # another size
+        # the default Hamiltonian under another oscillator spacing
+        ("h", replace(cfg, hbar_omega=10.0), params, dict(h=h3)),
+        ("params", cfg, HypersphericalParams((0.5, 0.70)), {}),
+    ]
+    for name, run_cfg, run_params, kwargs in cases:
+        with pytest.raises(ConfigError, match=f"^{name} "):  # the message names the argument
+            zne_energy(run_cfg, run_params, **kwargs)
+    # agreeing inputs pass, an equal copy of h included
+    zne_energy(cfg, params, OscillatorHamiltonian(h3.entries.copy()), jordan_wigner(h3))
 
 
 def test_zne_per_term_mode():

@@ -6,13 +6,14 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import evolve_density
+from conftest import evolve_density, native_circuits
 
 from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit, one_hot_embedding
 from deuteronvqe.circuits import PAULI, ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
-from deuteronvqe.estimator import apply_confusion, basis_rotation_circuit, histogram_dict
+from deuteronvqe.estimator import BASIS_LABELS, apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
     FoldSpec,
     NoiseModel,
@@ -233,6 +234,25 @@ def test_sample_shots_noisy_basis_rotation():
     plus = _native(1, [Gate("ry", (0,), math.pi / 2)])
     counts = sample_shots_noisy(plus, basis_rotation_circuit("x", 1), 200, NoiseModel(0, 0, ()), seed=0)
     assert histogram_dict(counts) == {"0": 200}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(native_circuits(), st.sampled_from(BASIS_LABELS), st.integers(0, 2**32 - 1))
+def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
+    # the sampler draws exactly what the joined circuit would draw
+    n = circ.n_qubits
+    rotations = basis_rotation_circuit(basis, n)
+    noise = NoiseModel.ion_defaults(n)
+    joined = NativeCircuit(n, circ.gates + rotations.gates)
+    expected = sample_shots_noisy(joined, None, 1000, noise, seed)
+    assert np.array_equal(sample_shots_noisy(circ, rotations, 1000, noise, seed), expected)
+
+
+def test_sample_rejects_rotations_outside_the_circuit():
+    circ = _native(2, [Gate("ry", (0,), 1.0)])
+    wide = _native(3, [Gate("ry", (2,), math.pi / 2)])
+    with pytest.raises(ConfigError):
+        sample_shots_noisy(circ, wide, 10, NoiseModel(0, 0, ()), seed=0)
 
 
 def test_sample_rejects_wrong_readout_count():

@@ -132,15 +132,6 @@ def build_ansatz_circuit(n_states: int, params: HypersphericalParams) -> Logical
     return LogicalCircuit(n_states, gates)
 
 
-def one_hot_embedding(amps: np.ndarray) -> np.ndarray:
-    """Embed one-hot-sector amplitudes into the full 2^N statevector."""
-    n = len(amps)
-    full = np.zeros(2**n, dtype=complex)
-    for k, a in enumerate(amps):
-        full[1 << (n - 1 - k)] = a
-    return full
-
-
 def parameters_from_amplitudes(amps) -> HypersphericalParams:
     """Invert the hyperspherical map, canonicalizing equivalent angle choices.
 

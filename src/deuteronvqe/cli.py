@@ -279,10 +279,15 @@ def cmd_report(args) -> dict[str, Path]:
     out = Path(args.out)
     results = {}
     if args.results:
+        sources = {}  # n_states -> the file that gave it
         for path in args.results:
             try:
                 doc = json.loads(_read(Path(path)))
                 n = checked("n_states", doc["n_states"], int, ge=2)  # as in every vqe run
+                if n in sources:
+                    raise CliError(f"{sources[n]} and {path} both hold a vqe summary for "
+                                   f"n_states = {n}", EXIT_USAGE)
+                sources[n] = path
                 results[n] = (checked("energy", doc["energy"]),
                               checked("sigma", doc["sigma"], ge=0))
             except (KeyError, TypeError, ValueError) as exc:

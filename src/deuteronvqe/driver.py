@@ -176,9 +176,11 @@ def _params(lambdas) -> HypersphericalParams:
 
 
 @lru_cache(maxsize=64)
-def _exact_optimum(eft: EftConfig) -> HypersphericalParams:
-    """Closed-form minimiser of the ansatz energy, found once per model."""
-    return optimal_parameters(build_oscillator_hamiltonian(eft))[0]
+def _model(eft: EftConfig) -> tuple[OscillatorHamiltonian, PauliHamiltonian, HypersphericalParams]:
+    """The model's oscillator matrix, its Pauli form and the closed-form
+    minimiser of the ansatz energy, built once per model."""
+    h = build_oscillator_hamiltonian(eft)
+    return h, jordan_wigner(h), optimal_parameters(h)[0]
 
 
 def prepared_native_circuit(cfg: RunConfig, params: HypersphericalParams) -> NativeCircuit:
@@ -192,17 +194,21 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
                count_records: list[dict] | None = None) -> tuple[ZneSeries, ZneResult]:
     """Full extrapolated energy estimate at fixed parameters.
 
-    A given `h`, `pauli` or `params` that disagrees with `cfg` raises
-    `ConfigError`.  Pass a list as `count_records` to capture one record per
+    The model comes from `cfg`: it computes with the Hamiltonian of
+    `cfg.eft()` and that Hamiltonian's Pauli form.  A given `h` or `pauli` is
+    only checked against them (`pauli` term by term, in any order), and one
+    that disagrees raises `ConfigError`, as do `params` that differ from a set
+    `cfg.lambdas`.  Pass a list as `count_records` to capture one record per
     (r, setting) with the raw histogram and its derived seed.
     """
-    h_cfg = build_oscillator_hamiltonian(cfg.eft())
+    h_cfg, pauli_cfg, _ = _model(cfg.eft())
     if h is not None and not np.array_equal(h.entries, h_cfg.entries):
         raise ConfigError("h must be the Hamiltonian of cfg, build_oscillator_hamiltonian(cfg.eft())")
-    if pauli is None:
-        pauli = jordan_wigner(h_cfg)
-    elif pauli.n_qubits != cfg.n_states:
-        raise ConfigError(f"pauli must act on n_states = {cfg.n_states} qubits, got {pauli.n_qubits}")
+    if pauli is not None and ({w: c for c, w in pauli.terms}
+                              != {w: c for c, w in pauli_cfg.terms}):
+        raise ConfigError("pauli must be the Pauli form of cfg's Hamiltonian, "
+                          "jordan_wigner(build_oscillator_hamiltonian(cfg.eft()))")
+    pauli = pauli_cfg  # one term order, whatever order a caller's copy holds
     if cfg.lambdas is not None and tuple(params.lambdas) != tuple(cfg.lambdas):
         raise ConfigError(f"params {params.lambdas} differ from cfg.lambdas {tuple(cfg.lambdas)}")
     native = prepared_native_circuit(cfg, params)
@@ -337,13 +343,10 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
     the count records of the reported (closing) evaluation, which after a
     search has its own stream.
     """
-    eft = cfg.eft()
-    h = build_oscillator_hamiltonian(eft)
-    pauli = jordan_wigner(h)
     trace: list[EvalRecord] = []
 
     def evaluate(params: HypersphericalParams, records=None, run_cfg=cfg) -> ZneResult:
-        series, result = zne_energy(run_cfg, params, h, pauli, records)
+        series, result = zne_energy(run_cfg, params, count_records=records)
         trace.append(EvalRecord(params.lambdas,
                                 [(p.r, p.value, p.sigma) for p in series.points],
                                 result.intercept, result.intercept_sigma))
@@ -353,7 +356,7 @@ def vqe_run(cfg: RunConfig, count_records: list[dict] | None = None) -> VqeRunRe
         params = _params(cfg.lambdas)
         return VqeRunResult(params, evaluate(params, count_records), trace)
 
-    start = _exact_optimum(eft)
+    _, _, start = _model(cfg.eft())
     if cfg.shots == 0:
         return VqeRunResult(start, evaluate(start, count_records), trace)
 
@@ -397,8 +400,7 @@ class ScanRow:
 
 def landscape_scan(cfg: RunConfig, spec: ScanSpec) -> list[ScanRow]:
     """One full pipeline run per value; theory column from the exact ansatz."""
-    h = build_oscillator_hamiltonian(cfg.eft())
-    pauli = jordan_wigner(h)
+    h, _, _ = _model(cfg.eft())
     rows = []
     for i, value in enumerate(spec.values):
         lambdas = spec.row_params(value)
@@ -406,7 +408,7 @@ def landscape_scan(cfg: RunConfig, spec: ScanSpec) -> list[ScanRow]:
         # distinct, replayable shot streams per row (104729 tags the scan stream);
         # the new config checks the angle count
         row_cfg = replace(cfg, lambdas=lambdas, seed=_child_seed(cfg.seed, 104729, i))
-        _, result = zne_energy(row_cfg, params, h, pauli)
+        _, result = zne_energy(row_cfg, params)
         rows.append(ScanRow(lambdas, result, energy_expectation_exact(params, h)))
     return rows
 

@@ -138,7 +138,7 @@ def run_density(circuit: NativeCircuit, noise: NoiseModel) -> np.ndarray:
     """
     n = circuit.n_qubits
     if 4**n > _MAX_DENSITY_ENTRIES:
-        raise ValueError(f"density matrix of 4^{n} entries exceeds the memory guard")
+        raise ConfigError(f"density matrix of 4^{n} entries exceeds the memory guard")
     vec = np.eye(1, 4**n, dtype=complex)[0]  # |0...0><0...0|
     return _evolve(vec, circuit, circuit.gates, noise).reshape(2**n, 2**n)
 

@@ -56,6 +56,15 @@ _P1 = (
 )
 
 
+def one_hot_embedding(amps: np.ndarray) -> np.ndarray:
+    """Embed one-hot-sector amplitudes into the full 2^N statevector."""
+    n = len(amps)
+    full = np.zeros(2**n, dtype=complex)
+    for k, a in enumerate(amps):
+        full[1 << (n - 1 - k)] = a
+    return full
+
+
 def _full_op(small: np.ndarray, qubits, n: int) -> np.ndarray:
     """Embed a 1- or 2-qubit operator by tensor reshuffling (kron-free)."""
     k = len(qubits)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import one_hot_embedding
+
 from deuteronvqe.ansatz import (
     AngleConvention,
     CANDIDATE_CONVENTIONS,
@@ -13,7 +15,6 @@ from deuteronvqe.ansatz import (
     build_ansatz_circuit,
     convention_scan,
     energy_expectation_exact,
-    one_hot_embedding,
     optimal_parameters,
     parameters_from_amplitudes,
 )

@@ -139,12 +139,14 @@ _NAMED_SETTINGS = {
     *(("simulate", "--circuit", f"{{{name}}}") for name in _BAD_CIRCUITS),
     ("transpile", "--circuit", "{native_gates}"),
     *_NAMED_SETTINGS,
+    ("simulate", "--circuit", "{wide_circuit}"),  # too wide for the density matrix
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
     # builder, the angle check, the circuit loader or the CLI's own parsers exit 2, not 3
     files = {"circuit": NativeCircuit(2, []).to_json(),
-             "native_gates": NativeCircuit(2, [Gate("rx", (0,), 0.5)]).to_json(), **_BAD_CIRCUITS}
+             "native_gates": NativeCircuit(2, [Gate("rx", (0,), 0.5)]).to_json(),
+             "wide_circuit": NativeCircuit(14, []).to_json(), **_BAD_CIRCUITS}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
@@ -200,6 +202,17 @@ def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
     summary.write_text(text)
     assert run_cli("report", "--results", str(summary), "--out", str(tmp_path / "out")) == 2
     assert str(summary) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report_artifact.json").exists()
+
+
+def test_report_two_results_for_one_n_is_usage_error(tmp_path, capsys):
+    # the second summary for a basis size would silently replace the first
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, energy in zip(paths, (-1.7, -1.2)):
+        path.write_text(json.dumps({"n_states": 2, "energy": energy, "sigma": 0.1}))
+    assert run_cli("report", "--results", *map(str, paths), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in paths)
     assert not (tmp_path / "out" / "report_artifact.json").exists()
 
 

@@ -134,18 +134,37 @@ def test_zne_rejects_inputs_that_disagree_with_config(h3, h4, shots):
     lam = (0.76, 0.70)
     params = HypersphericalParams(lam)
     cfg = RunConfig(n_states=3, lambdas=lam, shots=shots)
+    h3_wide = build_oscillator_hamiltonian(EftConfig(3, hbar_omega=10.0))
     cases = [
         ("h", cfg, params, dict(h=h4)),                                # another size
         ("pauli", cfg, params, dict(h=h3, pauli=jordan_wigner(h4))),  # another size
         # the default Hamiltonian under another oscillator spacing
         ("h", replace(cfg, hbar_omega=10.0), params, dict(h=h3)),
+        # the Pauli form of the same size under another oscillator spacing
+        ("pauli", cfg, params, dict(pauli=jordan_wigner(h3_wide))),
         ("params", cfg, HypersphericalParams((0.5, 0.70)), {}),
     ]
     for name, run_cfg, run_params, kwargs in cases:
         with pytest.raises(ConfigError, match=f"^{name} "):  # the message names the argument
             zne_energy(run_cfg, run_params, **kwargs)
-    # agreeing inputs pass, an equal copy of h included
-    zne_energy(cfg, params, OscillatorHamiltonian(h3.entries.copy()), jordan_wigner(h3))
+    # agreeing inputs pass, an equal copy of h and the terms in another order included,
+    # and the run computes with the model's own Pauli form: bit for bit the same
+    records, reversed_records = [], []
+    plain = zne_energy(cfg, params, count_records=records)
+    pauli3 = jordan_wigner(h3)
+    reversed_pauli = PauliHamiltonian(3, pauli3.terms[::-1])
+    assert reversed_pauli.terms != pauli3.terms
+    assert zne_energy(cfg, params, OscillatorHamiltonian(h3.entries.copy()), reversed_pauli,
+                      reversed_records) == plain
+    assert reversed_records == records
+    # vqe_run and landscape_scan, which pass neither, give what the checked inputs give
+    assert vqe_run(cfg).zne == zne_energy(cfg, params, h3, pauli3)[1]
+    spec = ScanSpec(0, (0.5, 0.76), lam)
+    for i, row in enumerate(landscape_scan(cfg, spec)):
+        row_cfg = replace(cfg, lambdas=row.lambdas, seed=driver._child_seed(cfg.seed, 104729, i))
+        row_params = HypersphericalParams(row.lambdas)
+        assert row.zne == zne_energy(row_cfg, row_params, h3, pauli3)[1]
+        assert row.theory == energy_expectation_exact(row_params, h3)
 
 
 def test_zne_per_term_mode():

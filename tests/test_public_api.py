@@ -16,7 +16,6 @@ SOURCES = sorted({*PACKAGE, *(ROOT / "perfbench").glob("*.py")}
 
 # module-level names that only the test suite reads, and why each stays
 UNUSED_BY_DESIGN = {
-    "one_hot_embedding": "the tests' reference embedding of one-hot amplitudes into 2^N states",
     "fit_quadratic_minimum": "criterion 6's landscape fit, which only the acceptance suite calls",
     "UCCS_EXACT_MINIMA": "published exact minima that criterion 2 checks the package against",
     "LANDSCAPE_FIT_MINIMA": "published landscape-fit minima that criterion 6 checks",

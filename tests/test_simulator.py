@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import evolve_density, native_circuits
+from conftest import evolve_density, native_circuits, one_hot_embedding
 
-from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit, one_hot_embedding
+from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit
 from deuteronvqe.circuits import PAULI, ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import BASIS_LABELS, apply_confusion, basis_rotation_circuit, histogram_dict

@@ -295,17 +295,17 @@ def cmd_report(args) -> dict[str, Path]:
                                f"finite energy and sigma >= 0: {exc!r}", EXIT_USAGE)
     else:
         for n in _parse_list(args.ns, int):
-            checked("ns entry", n, int, ge=2)
+            if checked("ns entry", n, int, ge=2) in results:
+                raise CliError(f"--ns names n_states = {n} twice", EXIT_USAGE)
             results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
-    report = convergence_report(results, args.hbar_omega, args.v0)
+    rows, missing = convergence_report(results, args.hbar_omega, args.v0)
     csv_path = out / "convergence.csv"
     lines = ["platform,n_states,energy,sigma"]
-    lines += [f"{p},{n},{e:.6f},{s:.6f}" for p, n, e, s in report.csv_rows()]
-    lines.append(f"exact-binding,-,{report.exact_binding_energy:.6f},0.000000")
+    lines += [f"{p},{'-' if n is None else n},{e:.6f},{s:.6f}" for p, n, e, s in rows]
     _write(csv_path, "\n".join(lines) + "\n")
     print("\n".join(lines))
-    if report.missing:
-        print(f"note: no results supplied for N in {report.missing}")
+    if missing:
+        print(f"note: no results supplied for N in {missing}")
 
     conventions = {
         "ansatz_convention": {
@@ -420,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config_file(argv: list[str]) -> list[str]:
     """argv with a flat JSON file's values spliced in as flags after the subcommand,
     so that they parse as typed flags do and typed flags win.  `true` is the bare
-    flag, `false` and `null` are left out, a list is the flag and its items, and any
+    flag, `false` and `null` are left out, a list is joined with commas (or, for a
+    flag of several values like `--results`, is the flag and its items), and any
     other value is `--flag=value`, so that a value like -5.7 is not read as an option."""
     # a pre-parse finds `--config FILE` and `--config=FILE` as argparse will
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False, allow_abbrev=False)
@@ -451,6 +452,8 @@ def _with_config_file(argv: list[str]) -> list[str]:
         if dest == "command" or value is None or value is False:
             continue
         flag = flags[dest]
+        if isinstance(value, list) and "nargs" not in FLAGS[flag[2:]]:
+            value = ",".join(map(str, value))  # a comma-list flag
         if value is True:
             tokens.append(flag)
         elif isinstance(value, list):

@@ -434,38 +434,20 @@ def fit_quadratic_minimum(points) -> tuple[float, float, float]:
     return location, energy, sigma
 
 
-@dataclass
-class ConvergenceReport:
-    """Energy-versus-basis-size summary with literature reference points."""
-
-    rows: list[dict]
-    uccs_exact: dict[int, float]
-    platform_results: dict
-    exact_binding_energy: float
-    missing: list[int]
-
-    def csv_rows(self) -> list[tuple[str, int, float, float]]:
-        out = [("this-work", r["n_states"], r["energy"], r["sigma"]) for r in self.rows]
-        for platform, entries in self.platform_results.items():
-            for n, e, s in entries:
-                out.append((platform, n, e, s))
-        for n, e in sorted(self.uccs_exact.items()):
-            out.append(("uccs-exact", n, e, 0.0))
-        return out
-
-
 def convergence_report(results: dict[int, tuple[float, float]],
-                       hbar_omega: float = DEFAULT_HBAR_OMEGA,
-                       v0: float = DEFAULT_V0) -> ConvergenceReport:
-    """Cross-N summary table; absent basis sizes are flagged, not fatal."""
+                       hbar_omega: float = DEFAULT_HBAR_OMEGA, v0: float = DEFAULT_V0
+                       ) -> tuple[list[tuple[str, int | None, float, float]], list[int]]:
+    """Every row of the cross-N table, in file order, as (platform, n_states,
+    energy, sigma): this work, the published hardware results, the exact
+    minima of the N = 2, 3, 4 ladder and the experimental binding energy (no
+    n_states); and the N of that ladder that `results` lacks, flagged, not fatal."""
     if not results:
-        raise ValueError("need at least one result")
-    rows = [{"n_states": n, "energy": e, "sigma": s}
-            for n, (e, s) in sorted(results.items())]
-    uccs = {
-        n: exact_ground_energy(build_oscillator_hamiltonian(EftConfig(n, hbar_omega, v0)))
-        for n in (2, 3, 4)
-    }
-    missing = [n for n in (2, 3, 4) if n not in results]
-    return ConvergenceReport(rows, uccs, dict(PLATFORM_RESULTS),
-                             EXACT_BINDING_ENERGY, missing)
+        raise ConfigError("need at least one result")
+    ladder = (2, 3, 4)
+    rows = [("this-work", n, e, s) for n, (e, s) in sorted(results.items())]
+    rows += [(platform, *entry) for platform, entries in PLATFORM_RESULTS.items()
+             for entry in entries]
+    rows += [("uccs-exact", n, exact_ground_energy(
+        build_oscillator_hamiltonian(EftConfig(n, hbar_omega, v0))), 0.0) for n in ladder]
+    rows.append(("exact-binding", None, EXACT_BINDING_ENERGY, 0.0))
+    return rows, [n for n in ladder if n not in results]

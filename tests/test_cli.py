@@ -124,6 +124,13 @@ _NAMED_SETTINGS = {
     ("zne", "--series", "2:-1:0.1,3:-1:0.1,5:0:0.1"): "noise parameter r",
 }
 
+# --ns lists that hold no basis size, or one twice
+_EMPTY_OR_REPEATED_NS = {
+    ("report", "--ns", ""): "at least one",
+    ("report", "--ns", ",,"): "at least one",
+    ("report", "--ns", "2,2"): "n_states = 2",
+}
+
 
 @pytest.mark.parametrize("argv", [
     ("vqe", "--n", "2", "--shots", "0", "--fold=-1"),
@@ -140,6 +147,7 @@ _NAMED_SETTINGS = {
     ("transpile", "--circuit", "{native_gates}"),
     *_NAMED_SETTINGS,
     ("simulate", "--circuit", "{wide_circuit}"),  # too wide for the density matrix
+    *_EMPTY_OR_REPEATED_NS,
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
@@ -153,7 +161,8 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     out = [] if argv[0] == "zne" else ["--out", str(tmp_path)]  # zne writes no file
     assert run_cli(*argv, *out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and _NAMED_SETTINGS.get(tuple(argv), "") in err
+    named = {**_NAMED_SETTINGS, **_EMPTY_OR_REPEATED_NS}.get(tuple(argv), "")
+    assert err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("argv, rejected", [
@@ -230,6 +239,25 @@ def test_config_file_equals_spelling(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("ham", f"--config={bad}", "--out", str(tmp_path)) == 2
     assert "shotz" in capsys.readouterr().err
+
+
+def test_config_list_for_a_comma_list_flag(tmp_path, capsys):
+    # a JSON list joins with commas for a comma-list flag, and gives one
+    # token per item for --results, which takes several values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "shots": 0, "fold": [0, 1], "lambdas": [0.7609, 0.7044]}))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("vqe", "--config", str(cfg), "--out", str(out_a)) == 0
+    assert run_cli("vqe", "--n", "3", "--shots", "0", "--fold", "0,1",
+                   "--lambdas", "0.7609,0.7044", "--out", str(out_b)) == 0
+    for name in ("vqe_n3_summary.json", "vqe_n3_trace.jsonl"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    summaries = [str(out_a / "vqe_n3_summary.json"), str(tmp_path / "s2.json")]
+    (tmp_path / "s2.json").write_text(json.dumps({"n_states": 2, "energy": -1.7, "sigma": 0.1}))
+    cfg.write_text(json.dumps({"results": summaries, "out": str(tmp_path / "report")}))
+    assert run_cli("report", "--config", str(cfg)) == 0
+    csv = (tmp_path / "report" / "convergence.csv").read_text()
+    assert "this-work,2,-1.700000" in csv and "this-work,3," in csv
 
 
 def test_config_shots_checked_like_flag(tmp_path, capsys):
@@ -320,6 +348,13 @@ def test_report_contains_reference_energy(tmp_path, capsys):
     assert run_cli("report", "--ns", "2,3", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "-2.224" in out
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "platform,n_states,energy,sigma"
+    assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+        ("this-work", "2"), ("this-work", "3"), ("rigetti-19q", "2"), ("ibm-qx5", "2"),
+        ("ibm-qx5", "3"), ("umd-ionq", "3"), ("umd-ionq", "4"), ("uccs-exact", "2"),
+        ("uccs-exact", "3"), ("uccs-exact", "4"), ("exact-binding", "-")]
+    assert lines[-1] == "exact-binding,-,-2.224000,0.000000"
     assert "no results supplied for N in [4]" in out
     conv = json.loads((tmp_path / "conventions.json").read_text())
     assert conv["ansatz_convention"]["resolved"] == "g(l) = half(l)"

@@ -1,7 +1,9 @@
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,33 @@ def test_exact_evaluation_retains_little_memory():
     finally:
         tracemalloc.stop()
     assert per_eval <= 600
+
+
+def test_an_evaluation_keeps_nothing_alive():
+    # with every output dropped, what the package's own frames still hold after
+    # many evaluations is what it keeps between them, its caches included; a
+    # full collection first empties the interpreter's free lists, which
+    # tracemalloc would otherwise count as live
+    runs = []
+    for cfg in (RunConfig(n_states=3, shots=1000, fold_levels=(0, 1)),
+                RunConfig(n_states=4, shots=0)):
+        params, _ = optimal_parameters(build_oscillator_hamiltonian(cfg.eft()))
+        zne_energy(cfg, params)  # fill every cache before measuring
+        runs.append((cfg, params))
+    package = [tracemalloc.Filter(True, str(Path(driver.__file__).parent / "*"))]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        for seed in range(15):
+            for cfg, params in runs:
+                zne_energy(replace(cfg, seed=seed), params, count_records=None)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert growth < 8 * 1024
 
 
 def test_vqe_fixed_params_records_trace(h3):
@@ -534,19 +563,20 @@ def test_monotone_convergence_of_exact_minima(h2, h3, h4):
 
 def test_convergence_report_contents():
     results = {2: (-1.749, 0.0), 3: (-2.046, 0.0), 4: (-2.143, 0.0)}
-    report = convergence_report(results)
-    assert report.exact_binding_energy == -2.224
-    assert report.missing == []
-    assert report.uccs_exact[2] == pytest.approx(-1.749, abs=1e-3)
-    assert report.uccs_exact[3] == pytest.approx(-2.046, abs=1e-3)
-    assert report.uccs_exact[4] == pytest.approx(-2.143, abs=1e-3)
-    rows = report.csv_rows()
+    rows, missing = convergence_report(results)
+    assert rows[-1] == ("exact-binding", None, -2.224, 0.0)
+    assert missing == []
+    uccs = {n: e for platform, n, e, _ in rows if platform == "uccs-exact"}
+    assert uccs[2] == pytest.approx(-1.749, abs=1e-3)
+    assert uccs[3] == pytest.approx(-2.046, abs=1e-3)
+    assert uccs[4] == pytest.approx(-2.143, abs=1e-3)
     platforms = {r[0] for r in rows}
     assert {"this-work", "uccs-exact", "umd-ionq"} <= platforms
 
 
 def test_convergence_report_flags_gaps():
-    report = convergence_report({2: (-1.7, 0.1), 3: (-2.0, 0.1)})
-    assert report.missing == [4]
-    with pytest.raises(ValueError):
+    _, missing = convergence_report({2: (-1.7, 0.1), 3: (-2.0, 0.1)})
+    assert missing == [4]
+    with pytest.raises(ConfigError) as exc:
         convergence_report({})
+    assert isinstance(exc.value, ValueError)

@@ -90,8 +90,8 @@ def _read(path: Path) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
-def _hamiltonian(args, n: int):
-    return build_oscillator_hamiltonian(EftConfig(n, args.hbar_omega, args.v0))
+def _hamiltonian(args):
+    return build_oscillator_hamiltonian(EftConfig(args.n, args.hbar_omega, args.v0))
 
 
 def _run_config(args, lambdas=None) -> RunConfig:
@@ -124,7 +124,7 @@ def _artifact(args, outputs: dict[str, Path]) -> dict:
 
 
 def cmd_ham(args) -> dict[str, Path]:
-    h = _hamiltonian(args, args.n)
+    h = _hamiltonian(args)
     out = Path(args.out)
     files = {"oscillator": out / f"h{args.n}_oscillator.json"}
     _write(files["oscillator"], h.to_json())
@@ -140,7 +140,7 @@ def cmd_ham(args) -> dict[str, Path]:
 def _lambdas_for(args) -> tuple[float, ...]:
     """--lambdas; the exact optimum when it is not given."""
     if args.lambdas is None:
-        return optimal_parameters(_hamiltonian(args, args.n))[0].lambdas
+        return optimal_parameters(_hamiltonian(args))[0].lambdas
     return _parse_list(args.lambdas)
 
 
@@ -148,7 +148,7 @@ def cmd_ansatz(args) -> dict[str, Path]:
     lam = _lambdas_for(args)
     params = HypersphericalParams(lam)
     circ = build_ansatz_circuit(args.n, params)
-    h = _hamiltonian(args, args.n)
+    h = _hamiltonian(args)
     out = Path(args.out)
     files = {"circuit": out / f"c{args.n}_logical.json"}
     _write(files["circuit"], circ.to_json())
@@ -161,10 +161,7 @@ def cmd_ansatz(args) -> dict[str, Path]:
 
 
 def cmd_transpile(args) -> dict[str, Path]:
-    if args.circuit:
-        logical = LogicalCircuit.from_json(_read(Path(args.circuit)))
-    else:
-        logical = build_ansatz_circuit(args.n, HypersphericalParams(_lambdas_for(args)))
+    logical = LogicalCircuit.from_json(_read(Path(args.circuit)))
     native = transpile(logical)
     if args.optimize:
         native = optimize_native(native)
@@ -278,26 +275,19 @@ def cmd_scan(args) -> dict[str, Path]:
 def cmd_report(args) -> dict[str, Path]:
     out = Path(args.out)
     results = {}
-    if args.results:
-        sources = {}  # n_states -> the file that gave it
-        for path in args.results:
-            try:
-                doc = json.loads(_read(Path(path)))
-                n = checked("n_states", doc["n_states"], int, ge=2)  # as in every vqe run
-                if n in sources:
-                    raise CliError(f"{sources[n]} and {path} both hold a vqe summary for "
-                                   f"n_states = {n}", EXIT_USAGE)
-                sources[n] = path
-                results[n] = (checked("energy", doc["energy"]),
-                              checked("sigma", doc["sigma"], ge=0))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
-                               f"finite energy and sigma >= 0: {exc!r}", EXIT_USAGE)
-    else:
-        for n in _parse_list(args.ns, int):
-            if checked("ns entry", n, int, ge=2) in results:
-                raise CliError(f"--ns names n_states = {n} twice", EXIT_USAGE)
-            results[n] = (optimal_parameters(_hamiltonian(args, n))[1], 0.0)
+    sources = {}  # n_states -> the file that gave it
+    for path in args.results:
+        try:
+            doc = json.loads(_read(Path(path)))
+            n = checked("n_states", doc["n_states"], int, ge=2)  # as in every vqe run
+            if n in sources:
+                raise CliError(f"{sources[n]} and {path} both hold a vqe summary for "
+                               f"n_states = {n}", EXIT_USAGE)
+            sources[n] = path
+            results[n] = (checked("energy", doc["energy"]), checked("sigma", doc["sigma"], ge=0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
+                           f"finite energy and sigma >= 0: {exc!r}", EXIT_USAGE)
     rows, missing = convergence_report(results, args.hbar_omega, args.v0)
     csv_path = out / "convergence.csv"
     lines = ["platform,n_states,energy,sigma"]
@@ -354,15 +344,14 @@ FLAGS = {
     "unweighted": dict(action="store_true"),
     "per-term": dict(action="store_true", help="extrapolate each Hamiltonian term separately"),
     "lambdas": dict(help="comma list of N-1 angles; default: optimal (vqe: search)"),
-    "circuit": dict(help="logical circuit JSON"),
+    "circuit": dict(required=True, help="logical circuit JSON"),
     "optimize": dict(action="store_true"),
     "emit-counts": dict(action="store_true"),
     "basis": dict(choices=BASIS_LABELS, default=BASIS_LABELS[0]),
     "series": dict(required=True, help="comma list of r:value:sigma"),
     "vary": dict(required=True, help="the angle to vary: lambda0, lambda1, ..."),
     "values": dict(required=True, help="comma list of values for the varied angle"),
-    "ns": dict(default="2,3,4", help="comma list of N for exact results"),
-    "results": dict(nargs="*", help="vqe summary JSON files"),
+    "results": dict(nargs="*", default=[], help="vqe summary JSON files"),
     "out": dict(default="out", help="output directory"),
     "config": dict(help="flat JSON file of this command's flags (typed flags win)"),
 }
@@ -383,12 +372,12 @@ COMMANDS = {
     "ansatz": Command(cmd_ansatz, "emit the logical ansatz circuit",
                       "n hbar-omega v0 lambdas out", "c{n}_artifact.json"),
     "transpile": Command(cmd_transpile, "lower a logical circuit to native gates",
-                         "n hbar-omega v0 circuit lambdas optimize emit-counts out",
+                         "circuit optimize emit-counts out",
                          "transpile_artifact.json"),
     "simulate": Command(cmd_simulate, "sample a native circuit",
                         "circuit basis fold-m seed shots p1 p2 readout-eps out",
                         "simulate_artifact.json",
-                        {"circuit": dict(required=True, help="native circuit JSON"),
+                        {"circuit": dict(help="native circuit JSON"),
                          "shots": dict(type=_counts_from(1), help="shots, at least 1")}),
     "zne": Command(cmd_zne, "extrapolate an explicit r:value:sigma series",
                    "series fit unweighted", None),
@@ -397,7 +386,7 @@ COMMANDS = {
     "scan": Command(cmd_scan, "one-parameter landscape scan",
                     f"{_PIPELINE} vary values", "scan_n{n}_artifact.json"),
     "report": Command(cmd_report, "convergence table and conventions report",
-                      "hbar-omega v0 ns results out", "report_artifact.json"),
+                      "hbar-omega v0 results out", "report_artifact.json"),
 }
 
 

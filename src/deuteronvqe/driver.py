@@ -440,9 +440,8 @@ def convergence_report(results: dict[int, tuple[float, float]],
     """Every row of the cross-N table, in file order, as (platform, n_states,
     energy, sigma): this work, the published hardware results, the exact
     minima of the N = 2, 3, 4 ladder and the experimental binding energy (no
-    n_states); and the N of that ladder that `results` lacks, flagged, not fatal."""
-    if not results:
-        raise ConfigError("need at least one result")
+    n_states); and the N of that ladder that `results` lacks, flagged, not fatal
+    (with no results, the whole ladder)."""
     ladder = (2, 3, 4)
     rows = [("this-work", n, e, s) for n, (e, s) in sorted(results.items())]
     rows += [(platform, *entry) for platform, entries in PLATFORM_RESULTS.items()

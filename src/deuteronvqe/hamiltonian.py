@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,15 +107,9 @@ class OscillatorHamiltonian:
 def build_oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
     """Assemble the N x N oscillator-basis matrix for the given parameters.
 
-    It is built once per configuration and shared by every caller, so its
-    `entries` are read-only.
+    Its `entries` are read-only, so that one matrix can be shared by every
+    caller (`driver` keeps one per model).
     """
-    # the cache sits behind a plain function, which call tracers can wrap
-    return _oscillator_hamiltonian(cfg)
-
-
-@lru_cache(maxsize=64)
-def _oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
     n = cfg.n_states
     h = np.zeros((n, n))
     for i in range(n):

@@ -170,6 +170,7 @@ def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | 
     draw from diag(rho) pushed through the per-qubit readout matrices.
     """
     checked("shots", shots, int, ge=1)
+    checked("seed", seed, int, ge=0)
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")

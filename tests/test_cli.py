@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -113,22 +114,14 @@ _NAMED_SETTINGS = {
     ("vqe", "--n", "2", "--shots", "0", "--lambdas", "nan"): "lambdas",
     ("vqe", "--n", "3", "--fold", "0", "--shots", "100"): "fold levels (0)",
     ("ansatz", "--n", "3", "--lambdas", "0.1"): "lambdas",
-    ("transpile", "--n", "3", "--lambdas", "0.1"): "lambdas",
     ("scan", "--n", "3", "--lambdas", "0.1", "--vary", "lambda0", "--values", "0.2",
      "--shots", "0"): "lambdas",
     ("scan", "--n", "3", "--lambdas", "0.1", "--vary", "lambda1", "--values", "0.2",
      "--shots", "0"): "lambdas",
     ("scan", "--n", "2", "--shots", "0", "--vary", "lambda0", "--values", "nan"): "values",
-    ("report", "--ns", "1,2"): "ns",
     ("zne", "--series", "1:nan:0.1,3:-1:0.1,5:0:0.1"): "value",
     ("zne", "--series", "2:-1:0.1,3:-1:0.1,5:0:0.1"): "noise parameter r",
-}
-
-# --ns lists that hold no basis size, or one twice
-_EMPTY_OR_REPEATED_NS = {
-    ("report", "--ns", ""): "at least one",
-    ("report", "--ns", ",,"): "at least one",
-    ("report", "--ns", "2,2"): "n_states = 2",
+    ("simulate", "--circuit", "{circuit}", "--shots", "10", "--seed", "-1"): "seed",
 }
 
 
@@ -139,7 +132,6 @@ _EMPTY_OR_REPEATED_NS = {
     ("simulate", "--circuit", "{circuit}", "--fold-m", "-1"),
     ("vqe", "--n", "2", "--hbar-omega", "-1", "--shots", "0"),
     ("ansatz", "--n", "1"),
-    ("transpile", "--n", "1"),
     ("scan", "--n", "3", "--vary", "lambda5", "--values", "0.1", "--shots", "0"),
     ("scan", "--n", "3", "--vary", "lambda0", "--values", ",", "--shots", "0"),
     ("zne", "--series", "1:x:0.1"),
@@ -147,7 +139,8 @@ _EMPTY_OR_REPEATED_NS = {
     ("transpile", "--circuit", "{native_gates}"),
     *_NAMED_SETTINGS,
     ("simulate", "--circuit", "{wide_circuit}"),  # too wide for the density matrix
-    *_EMPTY_OR_REPEATED_NS,
+    # transpile reads nothing but its circuit file
+    *(("transpile", "--circuit", f"{{{name}}}") for name in _BAD_CIRCUITS),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
@@ -157,11 +150,11 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
              "wide_circuit": NativeCircuit(14, []).to_json(), **_BAD_CIRCUITS}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
+    named = _NAMED_SETTINGS.get(argv, "")
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     out = [] if argv[0] == "zne" else ["--out", str(tmp_path)]  # zne writes no file
     assert run_cli(*argv, *out) == 2
     err = capsys.readouterr().err
-    named = {**_NAMED_SETTINGS, **_EMPTY_OR_REPEATED_NS}.get(tuple(argv), "")
     assert err.startswith("error:") and named in err
 
 
@@ -169,11 +162,16 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     (("simulate", "--circuit", "{circuit}", "--shots", "10", "--fold", "3"), "--fold"),
     (("zne", "--series", "1:-2.0:0.1,3:-1.0:0.1", "--out", "{out}"), "--out"),
     (("zne", "--series", "1:-2.0:0.1,3:-1.0:0.1", "--n", "4"), "--n"),
-    (("report", "--ns", "2", "--n", "5", "--out", "{out}"), "--n"),
+    (("report", "--n", "5", "--out", "{out}"), "--n"),
     (("ham", "--n", "2", "--seed", "1", "--out", "{out}"), "--seed"),
     (("ansatz", "--n", "2", "--shots", "10", "--out", "{out}"), "--shots"),
     (("vqe", "--n", "2", "--shots", "0", "--lambdas", "0.59", "--unw", "--out", "{out}"), "--unw"),
     (("ham", "--n", "2", "--config", "{config}", "--out", "{out}"), "seed"),
+    # transpile reads a circuit file and report reads vqe summaries: no shortcut flags
+    (("transpile", "--circuit", "{circuit}", "--lambdas", "0.1", "--out", "{out}"), "--lambdas"),
+    (("report", "--ns", "2,3", "--out", "{out}"), "--ns"),
+    (("transpile", "--n", "1"), "--circuit"),
+    (("transpile", "--circuit", "{circuit}", "--n", "3", "--lambdas", "0.1"), "--n"),
 ])
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, rejected):
     # each command takes only the flags it reads, spelled out in full
@@ -345,7 +343,11 @@ def test_scan_high_parameter_index(tmp_path, capsys):
 
 
 def test_report_contains_reference_energy(tmp_path, capsys):
-    assert run_cli("report", "--ns", "2,3", "--out", str(tmp_path)) == 0
+    for n in (2, 3):  # exact runs
+        assert run_cli("vqe", "--n", str(n), "--shots", "0", "--out", str(tmp_path / "vqe")) == 0
+    summaries = [str(tmp_path / "vqe" / f"vqe_n{n}_summary.json") for n in (2, 3)]
+    capsys.readouterr()
+    assert run_cli("report", "--results", *summaries, "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "-2.224" in out
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -354,11 +356,23 @@ def test_report_contains_reference_energy(tmp_path, capsys):
         ("this-work", "2"), ("this-work", "3"), ("rigetti-19q", "2"), ("ibm-qx5", "2"),
         ("ibm-qx5", "3"), ("umd-ionq", "3"), ("umd-ionq", "4"), ("uccs-exact", "2"),
         ("uccs-exact", "3"), ("uccs-exact", "4"), ("exact-binding", "-")]
+    # an exact run's energy is the exact minimum of its basis
+    assert lines[1].split(",")[2:] == lines[8].split(",")[2:]
     assert lines[-1] == "exact-binding,-,-2.224000,0.000000"
     assert "no results supplied for N in [4]" in out
     conv = json.loads((tmp_path / "conventions.json").read_text())
     assert conv["ansatz_convention"]["resolved"] == "g(l) = half(l)"
     assert all(rec["max_deviation"] < 1e-9 for rec in conv["gate_identities"])
+
+
+@pytest.mark.parametrize("argv", [(), ("--results",)])
+def test_report_without_results_writes_reference_rows_only(tmp_path, capsys, argv):
+    # a bare report, and --results with no files (a glob that matched nothing)
+    assert run_cli("report", *argv, "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    csv = (tmp_path / "convergence.csv").read_text()
+    assert "this-work" not in csv and "uccs-exact,4," in csv
+    assert "no results supplied for N in [2, 3, 4]" in out
 
 
 def test_closed_stdout_pipe_is_io_error(tmp_path):
@@ -369,9 +383,8 @@ def test_closed_stdout_pipe_is_io_error(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-c", code, src, "report", "--ns", "2,3,4",
-                               "--out", str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code, src, "report", "--out", str(tmp_path)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)
     assert done.returncode == 4
@@ -490,3 +503,15 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, command, values):
         run_cli(command, "--config", str(cfg), *extra, "--out", str(tmp_path))
     assert exc.value.code == 2
     assert not any(tmp_path.glob("*_artifact.json"))
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every line of the README's command-line example runs as written, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in lines if argv]
+    assert len(commands) == 8 and all(argv[0] == "deuteronvqe" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

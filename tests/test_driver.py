@@ -561,6 +561,13 @@ def test_monotone_convergence_of_exact_minima(h2, h3, h4):
     assert e2 > e3 > e4 > -2.224
 
 
+def test_model_is_built_once_per_configuration():
+    h = driver._model(EftConfig(4))[0]
+    assert driver._model(EftConfig(4))[0] is h
+    assert driver._model(EftConfig(4, hbar_omega=10.0))[0] is not h
+    assert np.array_equal(h.entries, build_oscillator_hamiltonian(EftConfig(4)).entries)
+
+
 def test_convergence_report_contents():
     results = {2: (-1.749, 0.0), 3: (-2.046, 0.0), 4: (-2.143, 0.0)}
     rows, missing = convergence_report(results)
@@ -577,6 +584,8 @@ def test_convergence_report_contents():
 def test_convergence_report_flags_gaps():
     _, missing = convergence_report({2: (-1.7, 0.1), 3: (-2.0, 0.1)})
     assert missing == [4]
-    with pytest.raises(ConfigError) as exc:
-        convergence_report({})
-    assert isinstance(exc.value, ValueError)
+    # no results: the reference rows alone, with every ladder N flagged
+    rows, missing = convergence_report({})
+    assert missing == [2, 3, 4]
+    assert "this-work" not in {r[0] for r in rows}
+    assert rows == convergence_report({2: (-1.7, 0.1)})[0][1:]

@@ -61,9 +61,11 @@ def test_build_n1_single_element():
 
 
 def test_build_shared_and_read_only():
+    # the driver shares one matrix per model among its callers, so none may write to it
     h = build_oscillator_hamiltonian(EftConfig(4))
-    assert build_oscillator_hamiltonian(EftConfig(4)) is h
-    assert build_oscillator_hamiltonian(EftConfig(4, hbar_omega=10.0)) is not h
+    assert np.array_equal(build_oscillator_hamiltonian(EftConfig(4)).entries, h.entries)
+    assert not np.array_equal(build_oscillator_hamiltonian(EftConfig(4, hbar_omega=10.0)).entries,
+                              h.entries)
     with pytest.raises(ValueError):
         h.entries[0, 0] = 0.0
 

@@ -61,6 +61,9 @@ SETTINGS = {
     "sample_shots_noisy.shots": (int, lambda v: sample_shots_noisy(NativeCircuit(1), None, v,
                                                                    NoiseModel(), 0),
                                  st.integers(1, 10**6), st.integers(max_value=0)),
+    "sample_shots_noisy.seed": (int, lambda v: sample_shots_noisy(NativeCircuit(1), None, 1,
+                                                                  NoiseModel(), v),
+                                st.integers(0, 2**31 - 1), st.integers(max_value=-1)),
     "ZnePoint.r": (int, lambda v: ZnePoint(v, 0.0, 0.1), st.integers(0, 50).map(lambda k: 2 * k + 1),
                    st.integers(max_value=0) | st.integers(1, 50).map(lambda k: 2 * k)),
     "ZnePoint.value": (float, lambda v: ZnePoint(1, v, 0.1), _reals(), None),

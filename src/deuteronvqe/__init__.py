@@ -39,8 +39,6 @@ from .hamiltonian import (
     build_oscillator_hamiltonian,
     exact_ground_energy,
     jordan_wigner,
-    kinetic_element,
-    potential_element,
 )
 from .simulator import (
     FoldSpec,

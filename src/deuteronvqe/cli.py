@@ -231,6 +231,8 @@ def cmd_vqe(args) -> dict[str, Path]:
     _write(trace_path, "\n".join(lines) + "\n")
     summary = {
         "n_states": args.n,
+        "hbar_omega": args.hbar_omega,
+        "v0": args.v0,
         "lambdas": list(result.params.lambdas),
         "energy": result.zne.intercept,
         "sigma": result.zne.intercept_sigma,
@@ -276,6 +278,7 @@ def cmd_report(args) -> dict[str, Path]:
     out = Path(args.out)
     results = {}
     sources = {}  # n_states -> the file that gave it
+    model, first = (), None  # (hbar_omega, v0) of the first summary, and its file
     for path in args.results:
         try:
             doc = json.loads(_read(Path(path)))
@@ -285,10 +288,18 @@ def cmd_report(args) -> dict[str, Path]:
                                f"n_states = {n}", EXIT_USAGE)
             sources[n] = path
             results[n] = (checked("energy", doc["energy"]), checked("sigma", doc["sigma"], ge=0))
+            # the rules of EftConfig
+            doc_model = (checked("hbar_omega", doc["hbar_omega"], gt=0), checked("v0", doc["v0"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path} is not a vqe summary with integer n_states >= 2 and "
-                           f"finite energy and sigma >= 0: {exc!r}", EXIT_USAGE)
-    rows, missing = convergence_report(results, args.hbar_omega, args.v0)
+            raise CliError(f"{path} is not a vqe summary with integer n_states >= 2, finite "
+                           f"energy and sigma >= 0, finite hbar_omega > 0 and finite v0: {exc!r}",
+                           EXIT_USAGE)
+        if not model:
+            model, first = doc_model, path
+        elif doc_model != model:
+            raise CliError(f"{first} and {path} hold vqe summaries of two models: "
+                           f"(hbar_omega, v0) = {model} and {doc_model}", EXIT_USAGE)
+    rows, missing = convergence_report(results, *model)  # no summaries: the paper's model
     csv_path = out / "convergence.csv"
     lines = ["platform,n_states,energy,sigma"]
     lines += [f"{p},{'-' if n is None else n},{e:.6f},{s:.6f}" for p, n, e, s in rows]
@@ -386,7 +397,7 @@ COMMANDS = {
     "scan": Command(cmd_scan, "one-parameter landscape scan",
                     f"{_PIPELINE} vary values", "scan_n{n}_artifact.json"),
     "report": Command(cmd_report, "convergence table and conventions report",
-                      "hbar-omega v0 results out", "report_artifact.json"),
+                      "results out", "report_artifact.json"),
 }
 
 

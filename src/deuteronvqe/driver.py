@@ -55,6 +55,7 @@ from .estimator import (
     ZnePoint,
     ZneResult,
     ZneSeries,
+    _SINGULAR_DET,
     energy_estimate,
     fit_degree,
     fit_matrix,
@@ -141,6 +142,10 @@ class RunConfig:
         elif self.noise.readout and len(self.noise.readout) != self.n_states:
             raise ConfigError(f"noise readout must hold no matrices or n_states = {self.n_states}, "
                               f"got {len(self.noise.readout)}")
+        if self.shots and any(abs(np.linalg.det(m)) < _SINGULAR_DET for m in self.noise.readout):
+            # a run with shots inverts its readout; an exact run reads none
+            raise ConfigError("noise readout must be invertible for a run with shots, got a "
+                              "singular confusion matrix")
 
     def eft(self) -> EftConfig:
         return EftConfig(self.n_states, self.hbar_omega, self.v0)

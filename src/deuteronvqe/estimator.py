@@ -48,6 +48,8 @@ _BASIS_ROTATIONS = {"z": (), "x": (("ry", -math.pi / 2),), "y": (("rx", math.pi 
 BASIS_LABELS = tuple(_BASIS_ROTATIONS)
 # Richardson fit kinds; the polynomial degree is the position in this tuple plus one
 FIT_KINDS = ("linear", "quadratic")
+# a confusion matrix whose |determinant| lies below this cannot be inverted
+_SINGULAR_DET = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +231,7 @@ def spam_correct(hist, confusion):
     mats = []
     for m in confusion:
         m = np.asarray(m, dtype=float)
-        if abs(np.linalg.det(m)) < 1e-12:
+        if abs(np.linalg.det(m)) < _SINGULAR_DET:
             raise ValueError("singular confusion matrix")
         mats.append(np.linalg.inv(m))
     return apply_confusion(hist, mats)

@@ -21,7 +21,6 @@ element h_{n,n+1} maps to (h_{n,n+1}/2)(X_n X_{n+1} + Y_n Y_{n+1}).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,27 +48,6 @@ class EftConfig:
         checked("v0", self.v0)
 
 
-def kinetic_element(n_prime: int, n: int, hbar_omega: float = DEFAULT_HBAR_OMEGA) -> float:
-    """Kinetic matrix element <n'|T|n> in MeV."""
-    if n_prime < 0 or n < 0:
-        raise ValueError("oscillator indices must be non-negative")
-    val = 0.0
-    if n_prime == n:
-        val += 2 * n + 1.5
-    if n == n_prime + 1:
-        val -= math.sqrt(n * (n + 0.5))
-    if n == n_prime - 1:
-        val -= math.sqrt((n + 1) * (n + 1.5))
-    return 0.5 * hbar_omega * val
-
-
-def potential_element(n_prime: int, n: int, v0: float = DEFAULT_V0) -> float:
-    """Contact potential element <n'|V|n>: V0 on the 0s state, zero elsewhere."""
-    if n_prime < 0 or n < 0:
-        raise ValueError("oscillator indices must be non-negative")
-    return v0 if n_prime == 0 and n == 0 else 0.0
-
-
 @dataclass
 class OscillatorHamiltonian:
     """Real symmetric tridiagonal N x N matrix of <n'|(T+V)|n>, in MeV."""
@@ -95,26 +73,18 @@ class OscillatorHamiltonian:
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "rows": self.entries.tolist()})
 
-    @classmethod
-    def from_json(cls, text: str) -> OscillatorHamiltonian:
-        doc = json.loads(text)
-        m = np.array(doc["rows"], dtype=float)
-        if m.shape != (doc["dim"], doc["dim"]):
-            raise ValueError("dim field does not match rows")
-        return cls(m)
-
 
 def build_oscillator_hamiltonian(cfg: EftConfig) -> OscillatorHamiltonian:
-    """Assemble the N x N oscillator-basis matrix for the given parameters.
+    """Assemble the N x N oscillator-basis matrix from its two diagonals: the
+    kinetic diagonal, with V0 added on the 0s state, and the kinetic hopping.
 
     Its `entries` are read-only, so that one matrix can be shared by every
     caller (`driver` keeps one per model).
     """
-    n = cfg.n_states
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            h[i, j] = kinetic_element(i, j, cfg.hbar_omega) + potential_element(i, j, cfg.v0)
+    k = np.arange(cfg.n_states)
+    hopping = -0.5 * cfg.hbar_omega * np.sqrt((k[:-1] + 1) * (k[:-1] + 1.5))
+    h = np.diag(0.5 * cfg.hbar_omega * (2 * k + 1.5)) + np.diag(hopping, 1) + np.diag(hopping, -1)
+    h[0, 0] += cfg.v0
     return OscillatorHamiltonian(frozen(h))
 
 
@@ -169,11 +139,6 @@ class PauliHamiltonian:
                 "terms": [{"coeff": c, "word": w} for c, w in self.terms],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> PauliHamiltonian:
-        doc = json.loads(text)
-        return cls(doc["n_qubits"], [(t["coeff"], t["word"]) for t in doc["terms"]])
 
 
 def _word(n_qubits: int, letters: dict[int, str]) -> str:

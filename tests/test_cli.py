@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from deuteronvqe import cli, driver
 from deuteronvqe.ansatz import HypersphericalParams
 from deuteronvqe.cli import main
 from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit
-from deuteronvqe.hamiltonian import PauliHamiltonian
+from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy
 
 
 def run_cli(*argv):
@@ -20,9 +21,10 @@ def run_cli(*argv):
 
 def test_ham_n2_writes_published_coefficient(tmp_path, capsys):
     assert run_cli("ham", "--n", "2", "--out", str(tmp_path)) == 0
-    pauli = PauliHamiltonian.from_json((tmp_path / "h2_pauli.json").read_text())
-    assert pauli.coefficient("ZI") == pytest.approx(0.218, abs=5e-3)
-    assert pauli.coefficient("XX") == pytest.approx(-2.143, abs=5e-3)
+    doc = json.loads((tmp_path / "h2_pauli.json").read_text())
+    coefficients = {term["word"]: term["coeff"] for term in doc["terms"]}
+    assert coefficients["ZI"] == pytest.approx(0.218, abs=5e-3)
+    assert coefficients["XX"] == pytest.approx(-2.143, abs=5e-3)
     assert "ground energy" in capsys.readouterr().out
 
 
@@ -123,6 +125,11 @@ _NAMED_SETTINGS = {
     ("zne", "--series", "2:-1:0.1,3:-1:0.1,5:0:0.1"): "noise parameter r",
     ("simulate", "--circuit", "{circuit}", "--shots", "10", "--seed", "-1"): "seed",
 }
+# named cases listed after all others, so that the earlier cases keep their ids
+_NAMED_LATER = {
+    # a run with shots inverts its readout, so a singular one is a usage error
+    ("vqe", "--n", "2", "--shots", "100", "--lambdas", "0.59", "--readout-eps", "0.5"): "readout",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,6 +148,7 @@ _NAMED_SETTINGS = {
     ("simulate", "--circuit", "{wide_circuit}"),  # too wide for the density matrix
     # transpile reads nothing but its circuit file
     *(("transpile", "--circuit", f"{{{name}}}") for name in _BAD_CIRCUITS),
+    *_NAMED_LATER,
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     # settings rejected by RunConfig, EftConfig, FoldSpec, ScanSpec, the ansatz
@@ -150,7 +158,7 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
              "wide_circuit": NativeCircuit(14, []).to_json(), **_BAD_CIRCUITS}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
-    named = _NAMED_SETTINGS.get(argv, "")
+    named = {**_NAMED_SETTINGS, **_NAMED_LATER}.get(argv, "")
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     out = [] if argv[0] == "zne" else ["--out", str(tmp_path)]  # zne writes no file
     assert run_cli(*argv, *out) == 2
@@ -172,6 +180,9 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, argv):
     (("report", "--ns", "2,3", "--out", "{out}"), "--ns"),
     (("transpile", "--n", "1"), "--circuit"),
     (("transpile", "--circuit", "{circuit}", "--n", "3", "--lambdas", "0.1"), "--n"),
+    # report reads the model from its summaries
+    (("report", "--hbar-omega", "10", "--out", "{out}"), "--hbar-omega"),
+    (("report", "--v0", "-5", "--out", "{out}"), "--v0"),
 ])
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, rejected):
     # each command takes only the flags it reads, spelled out in full
@@ -192,17 +203,24 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, reje
 
 @pytest.mark.parametrize("text", [
     "{not json",
-    '{"energy": -2.1, "sigma": 0.1}',
-    '{"n_states": 2, "energy": "low", "sigma": 0.1}',
-    '{"n_states": 2.7, "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": "2", "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": true, "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": -3, "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": 0, "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": 1, "energy": -1.7, "sigma": 0.1}',
-    '{"n_states": 2, "energy": "nan", "sigma": 0.1}',
-    '{"n_states": 2, "energy": NaN, "sigma": 0.1}',
-    '{"n_states": 2, "energy": -1.7, "sigma": -0.1}',
+    '{"energy": -2.1, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 2, "energy": "low", "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 2.7, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": "2", "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": true, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": -3, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 0, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 1, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 2, "energy": "nan", "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 2, "energy": NaN, "sigma": 0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    '{"n_states": 2, "energy": -1.7, "sigma": -0.1, "hbar_omega": 7.0, "v0": -5.68658}',
+    # the model: missing, or not a finite hbar_omega > 0 and a finite v0
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1}',
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0}',
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1, "hbar_omega": 0, "v0": -5.68658}',
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1, "hbar_omega": "7", "v0": -5.68658}',
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1, "hbar_omega": true, "v0": -5.68658}',
+    '{"n_states": 2, "energy": -1.7, "sigma": 0.1, "hbar_omega": 7.0, "v0": NaN}',
 ])
 def test_report_bad_results_file_is_usage_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"
@@ -216,7 +234,8 @@ def test_report_two_results_for_one_n_is_usage_error(tmp_path, capsys):
     # the second summary for a basis size would silently replace the first
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, energy in zip(paths, (-1.7, -1.2)):
-        path.write_text(json.dumps({"n_states": 2, "energy": energy, "sigma": 0.1}))
+        path.write_text(json.dumps({"n_states": 2, "energy": energy, "sigma": 0.1,
+                                    "hbar_omega": 7.0, "v0": -5.68658}))
     assert run_cli("report", "--results", *map(str, paths), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert all(str(path) in err for path in paths)
@@ -251,7 +270,8 @@ def test_config_list_for_a_comma_list_flag(tmp_path, capsys):
     for name in ("vqe_n3_summary.json", "vqe_n3_trace.jsonl"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     summaries = [str(out_a / "vqe_n3_summary.json"), str(tmp_path / "s2.json")]
-    (tmp_path / "s2.json").write_text(json.dumps({"n_states": 2, "energy": -1.7, "sigma": 0.1}))
+    (tmp_path / "s2.json").write_text(json.dumps({"n_states": 2, "energy": -1.7, "sigma": 0.1,
+                                                  "hbar_omega": 7.0, "v0": -5.68658}))
     cfg.write_text(json.dumps({"results": summaries, "out": str(tmp_path / "report")}))
     assert run_cli("report", "--config", str(cfg)) == 0
     csv = (tmp_path / "report" / "convergence.csv").read_text()
@@ -373,6 +393,42 @@ def test_report_without_results_writes_reference_rows_only(tmp_path, capsys, arg
     csv = (tmp_path / "convergence.csv").read_text()
     assert "this-work" not in csv and "uccs-exact,4," in csv
     assert "no results supplied for N in [2, 3, 4]" in out
+
+
+def test_report_reads_the_model_from_its_summaries(tmp_path, capsys):
+    # the uccs-exact rows are those of the summaries' model, with no flag to restate it
+    for n in (2, 3, 4):
+        assert run_cli("vqe", "--n", str(n), "--shots", "0", "--hbar-omega", "10",
+                       "--out", str(tmp_path / "vqe")) == 0
+    summaries = [tmp_path / "vqe" / f"vqe_n{n}_summary.json" for n in (2, 3, 4)]
+    assert run_cli("report", "--results", *map(str, summaries), "--out", str(tmp_path)) == 0
+    rows = [line.split(",") for line in (tmp_path / "convergence.csv").read_text().splitlines()]
+    this_work = {n: e for platform, n, e, _ in rows if platform == "this-work"}
+    uccs = {n: e for platform, n, e, _ in rows if platform == "uccs-exact"}
+    for n in (2, 3, 4):
+        exact = exact_ground_energy(build_oscillator_hamiltonian(EftConfig(n, hbar_omega=10.0)))
+        assert uccs[str(n)] == this_work[str(n)] == f"{exact:.6f}"
+    assert uccs["3"] == "-0.871693"
+    # a summary written before summaries named their model names the missing key
+    doc = json.loads(summaries[0].read_text())
+    del doc["hbar_omega"]
+    summaries[0].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(summaries[0]), "--out", str(tmp_path / "old")) == 2
+    err = capsys.readouterr().err
+    assert str(summaries[0]) in err and "hbar_omega" in err
+
+
+def test_report_rejects_summaries_of_two_models(tmp_path, capsys):
+    for n, hbar_omega in ((2, "7"), (3, "10")):
+        assert run_cli("vqe", "--n", str(n), "--shots", "0", "--hbar-omega", hbar_omega,
+                       "--out", str(tmp_path / "vqe")) == 0
+    paths = [str(tmp_path / "vqe" / f"vqe_n{n}_summary.json") for n in (2, 3)]
+    capsys.readouterr()
+    assert run_cli("report", "--results", *paths, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert all(path in err for path in paths) and "7.0" in err and "10.0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_stdout_pipe_is_io_error(tmp_path):
@@ -515,3 +571,20 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_flag_table_matches_commands():
+    # the README's flag table lists exactly the flags each command takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            flags = set(re.findall(r"--[a-z0-9-]+", cells[1]))
+            if "the `vqe` set, plus" in cells[1]:
+                flags |= table["vqe"]
+            table[cells[0].strip("`")] = flags
+    assert set(table) == set(cli.COMMANDS)
+    for name, command in cli.COMMANDS.items():
+        assert table[name] == {f"--{flag}" for flag in command.flags.split()}, name

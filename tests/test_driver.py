@@ -68,6 +68,11 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="readout"):
         RunConfig(n_states=3, noise=NoiseModel(0.001, 0.001, (np.eye(2),) * 2))
     assert RunConfig(n_states=3, noise=NoiseModel(0.001, 0.001)).noise.readout == ()
+    # a run with shots inverts its readout, so a singular one fails up front; an exact run reads none
+    singular = NoiseModel.ion_defaults(3, readout_eps=0.5)
+    with pytest.raises(ConfigError, match="readout"):
+        RunConfig(n_states=3, shots=100, noise=singular)
+    assert RunConfig(n_states=3, shots=0, noise=singular).noise is singular
     # numpy integers are integers
     assert RunConfig(n_states=np.int64(3), shots=np.int64(5),
                      fold_levels=(np.int32(0), np.int32(1))).shots == 5

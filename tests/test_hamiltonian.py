@@ -15,8 +15,6 @@ from deuteronvqe.hamiltonian import (
     exact_ground_energy,
     ground_state,
     jordan_wigner,
-    kinetic_element,
-    potential_element,
 )
 
 # printed three-decimal qubit-Hamiltonian coefficients, at V0 = -5.68658
@@ -28,25 +26,24 @@ EQ3_COEFFS = {
 
 
 def test_kinetic_element_direct_evaluation():
-    # oracle: the closed form evaluated by hand
-    assert kinetic_element(0, 0, 7.0) == pytest.approx(3.5 * 1.5)
-    assert kinetic_element(0, 1, 7.0) == pytest.approx(-3.5 * math.sqrt(1.5))
-    assert kinetic_element(0, 1, 7.0) == pytest.approx(-4.28661, abs=1e-5)
-    assert kinetic_element(0, 2, 7.0) == 0.0
-    assert kinetic_element(2, 1, 7.0) == kinetic_element(1, 2, 7.0)
+    # oracle: the closed form evaluated by hand; at V0 = 0 the N = 3 matrix is
+    # the kinetic energy alone
+    t = build_oscillator_hamiltonian(EftConfig(3, 7.0, 0.0)).entries
+    assert t[0, 0] == pytest.approx(3.5 * 1.5)
+    assert t[0, 1] == pytest.approx(-3.5 * math.sqrt(1.5))
+    assert t[0, 1] == pytest.approx(-4.28661, abs=1e-5)
+    assert t[0, 2] == 0.0
+    assert t[2, 1] == t[1, 2]
 
 
 def test_potential_element():
-    assert potential_element(0, 0, -5.68658) == -5.68658
-    assert potential_element(1, 1, -5.68658) == 0.0
-    assert potential_element(0, 1, -5.68658) == 0.0
-
-
-def test_element_preconditions():
-    with pytest.raises(ValueError):
-        kinetic_element(-1, 0)
-    with pytest.raises(ValueError):
-        potential_element(0, -2)
+    # the potential is the N = 3 matrix less its kinetic part: V0 on [0, 0] only
+    v = (build_oscillator_hamiltonian(EftConfig(3, 7.0, -5.68658)).entries
+         - build_oscillator_hamiltonian(EftConfig(3, 7.0, 0.0)).entries)
+    assert v[0, 0] == pytest.approx(-5.68658, abs=1e-12)
+    assert v[1, 1] == 0.0
+    assert v[0, 1] == 0.0
+    assert np.count_nonzero(v) == 1
 
 
 def test_build_n2_matrix(h2):
@@ -209,17 +206,15 @@ def test_ground_state_consistency(h3):
 
 
 def test_oscillator_serialization_lossless(h4):
-    doc = h4.to_json()
-    back = OscillatorHamiltonian.from_json(doc)
-    assert np.array_equal(back.entries, h4.entries)
-    parsed = json.loads(doc)
+    parsed = json.loads(h4.to_json())
+    assert np.array_equal(np.array(parsed["rows"]), h4.entries)
     assert parsed["dim"] == 4
 
 
 def test_pauli_serialization_lossless(pauli_h4):
-    back = PauliHamiltonian.from_json(pauli_h4.to_json())
-    assert back.n_qubits == pauli_h4.n_qubits
-    assert sorted(back.terms) == sorted(pauli_h4.terms)
+    parsed = json.loads(pauli_h4.to_json())
+    assert parsed["n_qubits"] == pauli_h4.n_qubits
+    assert sorted((t["coeff"], t["word"]) for t in parsed["terms"]) == sorted(pauli_h4.terms)
 
 
 def test_pauli_merges_duplicates_and_drops_zeros():

@@ -288,12 +288,12 @@ def cmd_report(args) -> dict[str, Path]:
                                f"n_states = {n}", EXIT_USAGE)
             sources[n] = path
             results[n] = (checked("energy", doc["energy"]), checked("sigma", doc["sigma"], ge=0))
-            # the rules of EftConfig
-            doc_model = (checked("hbar_omega", doc["hbar_omega"], gt=0), checked("v0", doc["v0"]))
+            eft = EftConfig(n, doc["hbar_omega"], doc["v0"])  # checks the model constants
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path} is not a vqe summary with integer n_states >= 2, finite "
                            f"energy and sigma >= 0, finite hbar_omega > 0 and finite v0: {exc!r}",
                            EXIT_USAGE)
+        doc_model = (eft.hbar_omega, eft.v0)
         if not model:
             model, first = doc_model, path
         elif doc_model != model:

@@ -4,8 +4,8 @@ One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, fold it at each requested level, draw
 per-setting shot histograms from the exact noise channel, read each
 histogram through its setting's energy row (readout inversion folded into
-the weights, built once per evaluation) for the energy and its multinomial
-sigma, and extrapolate the (r, energy) series to r = 0.  With ``shots = 0``
+the weights, built once per evaluation) for the energy series, and fit the
+histograms to r = 0 (`extrapolate_histograms`).  With ``shots = 0``
 `simulator.ideal_distributions` runs the native circuit on |0...0> with the
 circuit's one walk, `Circuit.apply`, and then each setting's rotations on
 that state; the squared amplitudes stand in for the setting's histogram,
@@ -51,19 +51,16 @@ from .circuits import ConfigError, NativeCircuit, checked
 from .compiler import optimize_native, transpile
 from .estimator import (
     FIT_KINDS,
-    MeasurementSetting,
     ZnePoint,
     ZneResult,
     ZneSeries,
     _SINGULAR_DET,
     energy_estimate,
+    extrapolate_histograms,
     fit_degree,
-    fit_matrix,
     histogram_dict,
-    linear_estimate,
     measurement_settings,
     polynomial_fit,
-    richardson_extrapolate,
 )
 from .hamiltonian import (
     DEFAULT_HBAR_OMEGA,
@@ -249,37 +246,8 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     series = ZneSeries([ZnePoint(r, *energy_estimate(pauli, level, settings))
                         for r, level in zip(rs, histograms)])
 
-    if cfg.per_term:
-        return series, _per_term_result(cfg, pauli, settings, rs, histograms)
-    return series, richardson_extrapolate(series, cfg.fit, cfg.weighted)
-
-
-def _per_term_result(cfg: RunConfig, pauli: PauliHamiltonian, settings: list[MeasurementSetting],
-                     rs: list[int], histograms: list[dict[str, np.ndarray]]) -> ZneResult:
-    """Extrapolate each Hamiltonian term separately, then recombine.
-
-    For fixed fit weights term k's intercept is sum_r a_{k,r} mean_k(r), a_k
-    the intercept row of its fit, so the recombined intercept reads each
-    (r, setting) histogram through one weight row, sum_k c_k a_{k,r} rows[k],
-    and its sigma counts the shots that the terms share.
-    """
-    deg = fit_degree(cfg.fit, len(rs))
-    energy = pauli.identity_coefficient
-    variance = 0.0
-    slope = 0.0
-    for setting in settings:
-        counts = [level[setting.basis] for level in histograms]
-        combined = np.zeros((len(rs), setting.rows.shape[1]))
-        for (coeff, _), row in zip(setting.terms, setting.rows):
-            means, sigmas = zip(*(linear_estimate(row, q) for q in counts))
-            hmat, _ = fit_matrix(rs, sigmas, deg, cfg.weighted)
-            slope += coeff * float(hmat[-2] @ means)
-            combined += np.outer(coeff * hmat[-1], row)
-        for weights, q in zip(combined, counts):
-            mean, sigma = linear_estimate(weights, q)
-            energy += mean
-            variance += sigma * sigma
-    return ZneResult(energy, math.sqrt(variance), slope, cfg.fit, weighted=cfg.weighted)
+    return series, extrapolate_histograms(pauli, settings, rs, histograms, cfg.fit,
+                                          cfg.weighted, cfg.per_term)
 
 
 def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,

@@ -24,12 +24,11 @@ A histogram is a dense count vector of length 2^n indexed by basis state
 (qubit 0 the most significant bit); bit-string keys exist only in count
 records, read and written by `histogram_array` and `histogram_dict`.
 
-Zero-noise extrapolation fits measured values against the noise parameter r
-(weighted least squares, weights 1/sigma^2, by default) and reports the
-r = 0 intercept with the sigma that the fit propagates from the point
-sigmas, weighted or not.  The fit is linear in the
-values (`fit_matrix`), which lets an intercept be written as one weight row
-per histogram as well.
+Zero-noise extrapolation fits values against the noise parameter r (weights
+1/sigma^2 by default) and reports the r = 0 intercept.  The fit is linear in
+the values (`fit_matrix`), so `extrapolate_histograms` reads each histogram
+of a run, plain or per term, through one intercept weight row and propagates
+the multinomial sigma; `richardson_extrapolate` fits an explicit series.
 """
 from __future__ import annotations
 
@@ -306,7 +305,8 @@ def fit_degree(kind: str, n_points: int) -> int:
 
 def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
                            weighted: bool = True) -> ZneResult:
-    """Weighted polynomial fit of value against r, evaluated at r = 0.
+    """Weighted polynomial fit of an explicit series of value against r,
+    evaluated at r = 0.
 
     Falls back to an unweighted fit (flagged in the result) when any sigma
     is non-positive.
@@ -319,3 +319,35 @@ def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
     slope = float(coef[-2])
     sigma = float(np.sqrt(max(0.0, cov[-1, -1])))
     return ZneResult(intercept, sigma, slope, kind, weighted=use_weights)
+
+
+def extrapolate_histograms(pauli: PauliHamiltonian, settings: list[MeasurementSetting], rs,
+                           histograms: list[dict[str, np.ndarray]], kind: str = FIT_KINDS[0],
+                           weighted: bool = True, per_term: bool = False) -> ZneResult:
+    """Fit a run's histograms, one {basis: counts} dict per r, to r = 0.
+
+    Each group of (setting, weight row) pairs on distinct settings is fitted
+    as one value per level (a plain run: one group, every energy row; a
+    `per_term` run: one per term, its coefficient times its row), and the
+    identity coefficient added after.  With the weights fixed, the intercept
+    reads each (r, setting) histogram through one row sum_g a_{g,r} row_g,
+    a_g the intercept row of group g's `fit_matrix`, so its multinomial
+    sigma counts shared shots; it is weighted only if every group's fit is.
+    """
+    deg = fit_degree(kind, len(rs))
+    groups = ([[(s, c * row)] for s in settings for (c, _), row in zip(s.terms, s.rows)] if per_term
+              else [[(s, s.weights) for s in settings]])
+    coef, all_weighted = np.array([0.0, pauli.identity_coefficient]), True  # slope, intercept
+    combined = {s.basis: np.zeros((len(rs), len(s.weights))) for s in settings}
+    for group in groups:
+        estimates = [[linear_estimate(row, level[s.basis]) for s, row in group] for level in histograms]
+        means = [sum(m for m, _ in level) for level in estimates]
+        sigmas = [math.sqrt(sum(sd * sd for _, sd in level)) for level in estimates]
+        hmat, used_weights = fit_matrix(rs, sigmas, deg, weighted)
+        coef += hmat[-2:] @ means
+        all_weighted &= used_weights
+        for s, row in group:
+            combined[s.basis] += np.outer(hmat[-1], row)
+    variance = sum(linear_estimate(w, level[s.basis])[1] ** 2
+                   for s in settings for w, level in zip(combined[s.basis], histograms))
+    return ZneResult(float(coef[1]), math.sqrt(variance), float(coef[0]), kind, all_weighted)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from deuteronvqe.circuits import Gate, NativeCircuit
 from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, jordan_wigner
+
+# every property test is deterministic and untimed: a fixed example sequence,
+# no example database and no per-example deadline; a test sets only its count
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -251,7 +251,7 @@ def test_gate_angle_validation():
         LogicalCircuit(2, [Gate("cry", (0, 1))])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(native_circuits())
 def test_one_circuit_walk_properties(circ):
     # the statevector and unitary engines share `Circuit.apply`; JSON and
@@ -265,7 +265,7 @@ def test_one_circuit_walk_properties(circ):
         assert unitary_equivalent(unitary_of(fold_circuit(circ, FoldSpec(m))), u)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(native_circuits(), st.integers(0, 3), st.sampled_from(BASIS_LABELS),
        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4))
 def test_every_builder_returns_a_frozen_circuit(circ, m, basis, lambdas):

@@ -327,16 +327,17 @@ def _z_signs(word):
 def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
     # fed the exact expected counts, every reported sigma is the exact SD of its
     # estimator, a linear function of the multinomial counts: on each fold level's
-    # energy, on each per-term point and on the per-term intercept.  The oracle
-    # inverts the full 2^n readout matrix and uses the covariance N (diag p - p p^T).
+    # energy, on each per-term point and on the intercept, plain or per term.  The
+    # oracle inverts the full 2^n readout matrix and uses the covariance N (diag p - p p^T).
     h = build_oscillator_hamiltonian(EftConfig(n))
     pauli = jordan_wigner(h)
     params, _ = optimal_parameters(h)
-    cfg = RunConfig(n_states=n, lambdas=params.lambdas, per_term=True)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas)
     shots = cfg.shots
     monkeypatch.setattr(driver, "sample_shots_noisy", lambda folded, rotations, shots_, noise, seed:
                         shots_ * _observed(folded.gates + rotations.gates, n, noise))
-    series, res = zne_energy(cfg, params, h, pauli)
+    series, plain = zne_energy(cfg, params, h, pauli)
+    _, per_term = zne_energy(replace(cfg, per_term=True), params, h, pauli)
 
     inverse = np.linalg.inv(reduce(np.kron, cfg.noise.readout))
     native = prepared_native_circuit(cfg, params)
@@ -354,28 +355,36 @@ def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
         exact = math.sqrt(sum(sd(g, observed[point.r, s.basis]) ** 2
                               for g, s in zip(energy_rows, settings)))
         assert abs(point.sigma - exact) <= 1e-12, (point.r, point.sigma / exact)
-
-    intercept, variance = pauli.identity_coefficient, 0.0
     for s, readout_rows in zip(settings, measurement_settings(pauli, cfg.noise.readout)):
-        combined = {r: 0.0 for r in rs}
-        for (c, w), row in zip(s.terms, readout_rows.rows):
+        for (c, w), row in zip(s.terms, readout_rows.rows):  # the per-term points
             g = inverse @ _z_signs(w)
-            means = [g @ observed[r, s.basis] for r in rs]
-            sigmas = [sd(g, observed[r, s.basis]) for r in rs]
-            for r, mean, sigma in zip(rs, means, sigmas):  # the per-term points
+            for r in rs:
                 point = linear_estimate(row, shots * observed[r, s.basis])
-                assert abs(point[0] - mean) <= 1e-12 and abs(point[1] - sigma) <= 1e-12, (w, r)
-            # intercept row of the weighted straight-line fit through the term's points
+                exact = (g @ observed[r, s.basis], sd(g, observed[r, s.basis]))
+                assert np.allclose(point, exact, rtol=0, atol=1e-12), (w, r)
+
+    # each group's value is fitted on its own: the energy, or each term
+    for res, groups in ((plain, [list(zip(settings, energy_rows))]),
+                        (per_term, [[(s, c * inverse @ _z_signs(w))]
+                                    for s in settings for c, w in s.terms])):
+        intercept = pauli.identity_coefficient
+        combined = {key: 0.0 for key in observed}
+        for group in groups:
+            means = [sum(g @ observed[r, s.basis] for s, g in group) for r in rs]
+            sigmas = [math.sqrt(sum(sd(g, observed[r, s.basis]) ** 2 for s, g in group))
+                      for r in rs]
+            # intercept row of the weighted straight-line fit through the group's points
             v = np.vander(rs, 2)
             vw = v.T / np.square(sigmas)
             a = np.linalg.solve(vw @ v, vw)[-1]
-            intercept += c * (a @ means)
-            for r, a_r in zip(rs, a):
-                combined[r] = combined[r] + c * a_r * g
-        variance += sum(sd(combined[r], observed[r, s.basis]) ** 2 for r in rs)
-    assert abs(res.intercept - intercept) <= 1e-10
-    exact = math.sqrt(variance)
-    assert abs(res.intercept_sigma - exact) <= 1e-12, res.intercept_sigma / exact
+            intercept += a @ means
+            for s, g in group:
+                for r, a_r in zip(rs, a):
+                    combined[r, s.basis] = combined[r, s.basis] + a_r * g
+        assert abs(res.intercept - intercept) <= 1e-10
+        exact = math.sqrt(sum(sd(g, observed[key]) ** 2 for key, g in combined.items()))
+        assert abs(res.intercept_sigma - exact) <= 1e-12, res.intercept_sigma / exact
+        assert res.weighted
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -393,6 +402,32 @@ def test_unweighted_sigma_agrees_with_per_term(n):
             assert not plain.weighted and not per_term.weighted
             assert abs(plain.intercept - per_term.intercept) <= 1e-12, (fit, seed)
             assert abs(plain.intercept_sigma - per_term.intercept_sigma) <= 1e-12, (fit, seed)
+
+
+def test_one_shot_run_reports_the_propagated_sigma():
+    # every histogram of one shot holds one outcome, so every point sigma is 0:
+    # the plain and the per-term fit both fall back to unweighted and propagate
+    # that sigma, where the plain fit once scaled its covariance by the residuals
+    # (2.177) and the per-term fit reported weights that it had not used
+    cfg = RunConfig(n_states=2, lambdas=(0.5,), shots=1, fold_levels=(0, 1, 2), seed=3)
+    params = HypersphericalParams((0.5,))
+    series, plain = zne_energy(cfg, params)
+    _, per_term = zne_energy(replace(cfg, per_term=True), params)
+    assert all(p.sigma == 0 for p in series.points)
+    assert abs(plain.intercept - per_term.intercept) <= 1e-12
+    assert plain.intercept_sigma == per_term.intercept_sigma == 0.0
+    assert not plain.weighted and not per_term.weighted
+
+
+def test_per_term_fit_is_weighted_only_when_every_term_fit_is():
+    # noiseless at lambda = 0 the state is a basis state: each Z term reads one
+    # outcome, so its sigma is 0 at every level and its fit is unweighted, while
+    # the X and Y terms, and the energy's own points, carry sigma
+    cfg = RunConfig(n_states=3, lambdas=(0.0, 0.0), shots=200, noise=NoiseModel(0, 0, ()),
+                    seed=1, per_term=True)
+    series, res = zne_energy(cfg, HypersphericalParams((0.0, 0.0)))
+    assert all(p.sigma > 0 for p in series.points)
+    assert not res.weighted
 
 
 @pytest.mark.parametrize("n", [3, 4])

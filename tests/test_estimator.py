@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from deuteronvqe.ansatz import build_ansatz_circuit, optimal_parameters
 from deuteronvqe.compiler import transpile
 from deuteronvqe.estimator import (
+    FIT_KINDS,
     ZnePoint,
     ZneSeries,
     apply_confusion,
     basis_rotation_circuit,
     energy_estimate,
+    extrapolate_histograms,
     histogram_array,
     histogram_dict,
     linear_estimate,
@@ -24,7 +26,8 @@ from deuteronvqe.estimator import (
     _bit_labels,
     _parity_signs,
 )
-from deuteronvqe.hamiltonian import PauliHamiltonian, jordan_wigner
+from deuteronvqe.hamiltonian import (EftConfig, PauliHamiltonian, build_oscillator_hamiltonian,
+                                     jordan_wigner)
 from deuteronvqe.simulator import flip_matrix
 
 
@@ -50,8 +53,6 @@ def test_settings_identity_only():
 
 def test_settings_cover_every_term_once():
     for n in range(2, 9):
-        from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian
-
         pauli = jordan_wigner(build_oscillator_hamiltonian(EftConfig(n)))
         settings = measurement_settings(pauli)
         covered = [w for s in settings for _, w in s.terms]
@@ -173,7 +174,7 @@ def _readout_case(draw):
     return np.array(weights) / sum(weights), word, confusion
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_readout_case())
 def test_weight_rows_fold_readout_inversion(case):
     # a word's weight row read on the readout-forwarded distribution gives the
@@ -384,6 +385,58 @@ def test_richardson_recovers_truth_on_synthetic_series():
         res = richardson_extrapolate(ZneSeries(pts))
         hits += abs(res.intercept - truth) <= 3 * res.intercept_sigma
     assert hits >= 195
+
+
+@st.composite
+def _run_histograms(draw):
+    """A model's Pauli form at n = 2 or 3, its settings under a random readout
+    flip (or none), fold levels enough for a random fit kind, random counts
+    per (level, setting) and whether the fit is weighted."""
+    n = draw(st.integers(2, 3))
+    eps = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.2)))
+    kind = draw(st.sampled_from(FIT_KINDS))
+    levels = draw(st.lists(st.integers(0, 5), min_size=FIT_KINDS.index(kind) + 2, max_size=5,
+                           unique=True))
+    pauli = jordan_wigner(build_oscillator_hamiltonian(EftConfig(n)))
+    settings = measurement_settings(pauli, (flip_matrix(eps),) * n if eps else ())
+    counts = st.lists(st.integers(0, 40), min_size=2**n, max_size=2**n).filter(any)
+    histograms = [{s.basis: np.array(draw(counts)) for s in settings} for _ in levels]
+    return pauli, settings, [2 * m + 1 for m in levels], histograms, kind, draw(st.booleans())
+
+
+@settings(max_examples=150)
+@given(_run_histograms())
+def test_extrapolate_histograms_fits_the_energy_series(case):
+    # a plain run is the fit of its energy series, less the identity
+    # coefficient, which is a constant and is added after the fit: a point sigma
+    # near 0 (one outcome in every histogram of a level) makes a fit whose
+    # intercept row sums to 1 only to about 1e-8, and that error would
+    # multiply the identity.  Without weights every term shares the energy's
+    # fit, so the per-term result equals the plain one.
+    pauli, settings, rs, histograms, kind, weighted = case
+    plain = extrapolate_histograms(pauli, settings, rs, histograms, kind, weighted)
+    identity = pauli.identity_coefficient
+    points = [ZnePoint(r, *energy_estimate(pauli, level, settings)) for r, level in zip(rs, histograms)]
+    fit = richardson_extrapolate(ZneSeries([ZnePoint(p.r, p.value - identity, p.sigma)
+                                            for p in points]), kind, weighted)
+    assert abs(plain.intercept - (identity + fit.intercept)) <= 1e-12
+    assert abs(plain.slope - fit.slope) <= 1e-12
+    assert plain.weighted == fit.weighted == (weighted and all(p.sigma > 0 for p in points))
+    if all(p.sigma > 0 for p in points):
+        assert abs(plain.intercept_sigma - fit.intercept_sigma) <= 1e-12
+    if not weighted:
+        per_term = extrapolate_histograms(pauli, settings, rs, histograms, kind, False, per_term=True)
+        assert not per_term.weighted
+        for a, b in ((per_term.intercept, plain.intercept), (per_term.slope, plain.slope),
+                     (per_term.intercept_sigma, plain.intercept_sigma)):
+            assert abs(a - b) <= 1e-12
+
+
+def test_extrapolate_histograms_needs_one_histogram_set_per_r(pauli_h2):
+    settings = measurement_settings(pauli_h2)
+    level = {s.basis: np.array([3, 1, 0, 2]) for s in settings}
+    with pytest.raises(ValueError):
+        extrapolate_histograms(pauli_h2, settings, [1, 3, 5], [level, level])
 
 
 def test_basis_rotation_circuits():

@@ -77,7 +77,7 @@ NEVER_VALID = (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(-
 
 
 @pytest.mark.parametrize("name", SETTINGS)
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_every_numeric_setting_is_checked(name, data):
     kind, build, valid, out_of_range = SETTINGS[name]

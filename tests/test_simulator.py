@@ -236,7 +236,7 @@ def test_sample_shots_noisy_basis_rotation():
     assert histogram_dict(counts) == {"0": 200}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(native_circuits(), st.sampled_from(BASIS_LABELS), st.integers(0, 2**32 - 1))
 def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
     # the sampler draws exactly what the joined circuit would draw

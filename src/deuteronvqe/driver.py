@@ -2,10 +2,11 @@
 
 One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, fold it at each requested level, draw
-per-setting shot histograms from the exact noise channel, read each
-histogram through its setting's energy row (readout inversion folded into
-the weights, built once per evaluation) for the energy series, and fit the
-histograms to r = 0 (`extrapolate_histograms`).  With ``shots = 0``
+per-setting shot histograms from the exact noise channel into one
+(fold level, setting, outcome) count array, and read that array once
+(`extrapolate_histograms`) for the energy series and its fit to r = 0, each
+histogram through its setting's weight rows (readout inversion folded into
+the weights, built once per evaluation).  With ``shots = 0``
 `simulator.ideal_distributions` runs the native circuit on |0...0> with the
 circuit's one walk, `Circuit.apply`, and then each setting's rotations on
 that state; the squared amplitudes stand in for the setting's histogram,
@@ -227,27 +228,21 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
-    histograms = []  # per fold level, the raw counts of each setting
-    for spec in specs:
+    counts = np.zeros((len(specs), len(settings), 2**native.n_qubits))
+    for i, spec in enumerate(specs):
         folded = fold_circuit(native, spec)
-        level = {}
         for bidx, setting in enumerate(settings):
             child = _child_seed(cfg.seed, spec.m, bidx)
-            counts = sample_shots_noisy(folded, setting.rotations, cfg.shots, cfg.noise, child)
+            hist = sample_shots_noisy(folded, setting.rotations, cfg.shots, cfg.noise, child)
             if count_records is not None:
                 count_records.append({
                     "lambdas": lambdas, "r": spec.r,
                     "setting": setting.basis, "shots": cfg.shots,
-                    "seed": child, "counts": histogram_dict(counts),
+                    "seed": child, "counts": histogram_dict(hist),
                 })
-            level[setting.basis] = counts
-        histograms.append(level)
-    rs = [spec.r for spec in specs]
-    series = ZneSeries([ZnePoint(r, *energy_estimate(pauli, level, settings))
-                        for r, level in zip(rs, histograms)])
-
-    return series, extrapolate_histograms(pauli, settings, rs, histograms, cfg.fit,
-                                          cfg.weighted, cfg.per_term)
+            counts[i, bidx] = hist
+    return extrapolate_histograms(pauli, settings, [spec.r for spec in specs], counts, cfg.fit,
+                                  cfg.weighted, cfg.per_term)
 
 
 def nelder_mead(f, x0: np.ndarray, step: float = 0.3, max_evals: int = 200,

@@ -4,12 +4,15 @@ The qubit Hamiltonians produced here contain only Z words, adjacent XX pairs
 and adjacent YY pairs, so three measurement settings (all-Z, all-X, all-Y)
 cover every term with qubit-wise commuting groups.
 
-Every estimate is a linear functional of a histogram q of N shots: a weight
-row w gives the mean w.q/N and the plug-in multinomial sigma
-sqrt((sum w^2 q/N - (w.q/N)^2)/N) (`linear_estimate`).  A term's row is its
-parity signs; a setting's energy row is the coefficient-weighted sum of its
-term rows, so sigma carries the covariance of terms read from the same
-shots.  Settings draw disjoint shots and add in quadrature.
+Every estimate is a linear functional of a histogram q of N shots, with
+frequencies p = q/N: a weight row w gives the mean w.p and the plug-in
+multinomial variance sum p (w - w.p)^2 / N, both taken about w's value at
+the most frequent outcome, so that a histogram whose shots all fall on
+outcomes of one weight has variance exactly 0.  One batched contraction
+(`_moments`) reads every (row, histogram) pair.  A term's row is its parity
+signs; a setting's energy row is the coefficient-weighted sum of its term
+rows, so sigma carries the covariance of terms read from the same shots.
+Settings draw disjoint shots and add in quadrature.
 
 Readout is inverted in the weights, not in the data: the expectation of
 signs s on the corrected histogram A^T q, A the tensor product of the
@@ -26,9 +29,11 @@ records, read and written by `histogram_array` and `histogram_dict`.
 
 Zero-noise extrapolation fits values against the noise parameter r (weights
 1/sigma^2 by default) and reports the r = 0 intercept.  The fit is linear in
-the values (`fit_matrix`), so `extrapolate_histograms` reads each histogram
-of a run, plain or per term, through one intercept weight row and propagates
-the multinomial sigma; `richardson_extrapolate` fits an explicit series.
+the values (`fit_matrix`), so `extrapolate_histograms` takes a run's counts
+as one (r, setting, outcome) array, reads its energy series and each fitted
+group's values from the same contraction, and propagates the multinomial
+sigma through one intercept weight row per histogram;
+`richardson_extrapolate` fits an explicit series.
 """
 from __future__ import annotations
 
@@ -186,22 +191,30 @@ def weight_rows(words, readout=()) -> np.ndarray:
     return frozen(rows)
 
 
-def linear_estimate(weights: np.ndarray, hist: np.ndarray) -> tuple[float, float]:
-    """Mean w.q/N of a weight row on a histogram q of N shots, and its sigma.
+def _moments(rows: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Means and variances of weight rows on histograms, broadcast over their
+    leading axes: (..., 2^n) rows on (..., 2^n) counts give (...) arrays.
 
-    Sigma is the plug-in multinomial standard deviation
-    sqrt((sum w^2 q/N - (w.q/N)^2)/N), exact when q holds expected counts.
+    With p = q/N the frequencies of a histogram q of N shots, a row w has
+    mean w.p and the plug-in multinomial variance sum p (w - w.p)^2 / N,
+    exact when q holds expected counts.  Both are taken about w's value at
+    the most frequent outcome, so that a histogram whose shots all fall on
+    outcomes of one weight (a single outcome, say) has variance exactly 0:
+    rounding would leave about 1e-32, which a weighted fit would weigh by
+    about 1e32.
     """
-    hist = np.asarray(hist)
-    if hist.shape != weights.shape:
-        raise ValueError(f"a weight row of length {len(weights)} needs a histogram "
-                         f"of shape ({len(weights)},)")
-    total = float(hist.sum())
-    if total <= 0:
+    counts = np.asarray(counts)
+    width = rows.shape[-1]
+    if counts.shape[-1:] != (width,):
+        raise ValueError(f"a weight row of length {width} needs a histogram of shape ({width},)")
+    total = counts.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("histogram has no weight")
-    mean = float(weights @ hist) / total
-    second = float((weights * weights) @ hist) / total
-    return mean, math.sqrt(max(0.0, second - mean * mean) / total)
+    p = counts / total
+    mode = np.arange(width) == p.argmax(axis=-1)[..., None]
+    centre = (rows * mode).sum(axis=-1, keepdims=True)
+    mean = centre + ((rows - centre) * p).sum(axis=-1, keepdims=True)
+    return mean[..., 0], (p * (rows - mean) ** 2).sum(axis=-1) / total[..., 0]
 
 
 def apply_confusion(hist, confusion):
@@ -244,15 +257,12 @@ def energy_estimate(h: PauliHamiltonian, histograms: dict[str, np.ndarray],
     `measurement_settings(h, readout)` reads raw counts taken through
     readout confusion.
     """
-    energy = h.identity_coefficient
-    variance = 0.0
     for setting in settings:
         if setting.basis not in histograms:
             raise KeyError(f"missing histogram for the {setting.basis!r} setting")
-        mean, sigma = linear_estimate(setting.weights, histograms[setting.basis])
-        energy += mean
-        variance += sigma * sigma
-    return energy, math.sqrt(variance)
+    means, variances = _moments(np.stack([s.weights for s in settings]),
+                                [histograms[s.basis] for s in settings])
+    return float(sum(means, h.identity_coefficient)), math.sqrt(variances.sum())
 
 
 def fit_matrix(x, sigma, deg: int, weighted: bool = True) -> tuple[np.ndarray, bool]:
@@ -322,32 +332,44 @@ def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
 
 
 def extrapolate_histograms(pauli: PauliHamiltonian, settings: list[MeasurementSetting], rs,
-                           histograms: list[dict[str, np.ndarray]], kind: str = FIT_KINDS[0],
-                           weighted: bool = True, per_term: bool = False) -> ZneResult:
-    """Fit a run's histograms, one {basis: counts} dict per r, to r = 0.
+                           counts, kind: str = FIT_KINDS[0], weighted: bool = True,
+                           per_term: bool = False) -> tuple[ZneSeries, ZneResult]:
+    """Energy series and r = 0 fit of a run's counts[r, setting, outcome],
+    one histogram per noise parameter in `rs` and setting in `settings`.
 
-    Each group of (setting, weight row) pairs on distinct settings is fitted
-    as one value per level (a plain run: one group, every energy row; a
-    `per_term` run: one per term, its coefficient times its row), and the
-    identity coefficient added after.  With the weights fixed, the intercept
-    reads each (r, setting) histogram through one row sum_g a_{g,r} row_g,
-    a_g the intercept row of group g's `fit_matrix`, so its multinomial
-    sigma counts shared shots; it is weighted only if every group's fit is.
+    Each group of weight rows, one per setting, is fitted as one value per
+    level (a plain run: one group, every energy row; a `per_term` run: one
+    per term, its coefficient times its row on its own setting and zero on
+    the others), and the identity coefficient added after.  With the weights
+    fixed, the intercept reads each (r, setting) histogram through one row
+    sum_g a_{g,r} row_g, a_g the intercept row of group g's `fit_matrix`, so
+    its multinomial sigma counts shared shots; it is weighted only if every
+    group's fit is.
     """
     deg = fit_degree(kind, len(rs))
-    groups = ([[(s, c * row)] for s in settings for (c, _), row in zip(s.terms, s.rows)] if per_term
-              else [[(s, s.weights) for s in settings]])
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape[:2] != (len(rs), len(settings)):
+        raise ValueError(f"counts of shape {counts.shape} need one histogram per noise "
+                         f"parameter and setting, shape ({len(rs)}, {len(settings)}, ...)")
+    energy = np.stack([s.weights for s in settings])
+    means, variances = _moments(energy, counts)
+    series = ZneSeries([ZnePoint(r, float(value), math.sqrt(variance)) for r, value, variance
+                        in zip(rs, sum(means.T, pauli.identity_coefficient), variances.sum(axis=1))])
+    if per_term:
+        setting_of = [i for i, s in enumerate(settings) for _ in s.terms]
+        groups = np.zeros((len(setting_of), *energy.shape))
+        groups[np.arange(len(setting_of)), setting_of] = np.concatenate(
+            [np.array([c for c, _ in s.terms])[:, None] * s.rows for s in settings])
+        means, variances = _moments(groups[:, None], counts)
+    else:
+        groups, means, variances = energy[None], means[None], variances[None]
     coef, all_weighted = np.array([0.0, pauli.identity_coefficient]), True  # slope, intercept
-    combined = {s.basis: np.zeros((len(rs), len(s.weights))) for s in settings}
-    for group in groups:
-        estimates = [[linear_estimate(row, level[s.basis]) for s, row in group] for level in histograms]
-        means = [sum(m for m, _ in level) for level in estimates]
-        sigmas = [math.sqrt(sum(sd * sd for _, sd in level)) for level in estimates]
+    combined = np.zeros_like(counts)
+    for rows, values, sigmas in zip(groups, means.sum(axis=2), np.sqrt(variances.sum(axis=2))):
         hmat, used_weights = fit_matrix(rs, sigmas, deg, weighted)
-        coef += hmat[-2:] @ means
+        coef += hmat[-2:] @ values
         all_weighted &= used_weights
-        for s, row in group:
-            combined[s.basis] += np.outer(hmat[-1], row)
-    variance = sum(linear_estimate(w, level[s.basis])[1] ** 2
-                   for s in settings for w, level in zip(combined[s.basis], histograms))
-    return ZneResult(float(coef[1]), math.sqrt(variance), float(coef[0]), kind, all_weighted)
+        combined += hmat[-1][:, None, None] * rows
+    variance = _moments(combined, counts)[1].sum()
+    return series, ZneResult(float(coef[1]), math.sqrt(variance), float(coef[0]), kind,
+                             all_weighted)

@@ -167,45 +167,6 @@ def jordan_wigner(h: OscillatorHamiltonian) -> PauliHamiltonian:
     return PauliHamiltonian(n, terms)
 
 
-def _eigenvalues_below(d, e2, x: float, pivmin: float) -> int:
-    """Sturm count: eigenvalues of the tridiagonal (d, e) below x, from the
-    signs of the LDL^T pivots of T - x I; a zero pivot is nudged to -pivmin."""
-    count = 0
-    q = 1.0
-    for i, di in enumerate(d):
-        q = di - x - (e2[i - 1] / q if i else 0.0)
-        if abs(q) < pivmin:
-            q = -pivmin
-        count += q < 0
-    return count
-
-
-def exact_ground_energy(h: OscillatorHamiltonian) -> float:
-    """Lowest eigenvalue in MeV, by Sturm-sequence bisection on the tridiagonal.
-
-    This is the algorithm of LAPACK's stebz: bisect the Gershgorin interval
-    on the count of eigenvalues below the midpoint, down to rounding of the
-    matrix norm.  It shares no code with `ground_state`'s dense solver.
-    """
-    if not h.is_tridiagonal():
-        raise ValueError("exact_ground_energy needs a tridiagonal matrix")
-    d = [float(v) for v in np.diag(h.entries)]
-    e = [abs(float(v)) for v in np.diag(h.entries, 1)]
-    e2 = [v * v for v in e]
-    radius = [a + b for a, b in zip([0.0, *e], [*e, 0.0])]
-    lo = min(di - r for di, r in zip(d, radius))
-    hi = max(di + r for di, r in zip(d, radius))
-    pivmin = np.finfo(float).tiny * max([1.0, *e2])
-    tol = 2 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _eigenvalues_below(d, e2, mid, pivmin) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def ground_state(h: OscillatorHamiltonian) -> tuple[float, np.ndarray]:
     """Lowest eigenpair; the eigenvector is sign-fixed to a non-negative
     leading component."""
@@ -214,3 +175,8 @@ def ground_state(h: OscillatorHamiltonian) -> tuple[float, np.ndarray]:
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return float(evals[0]), v
+
+
+def exact_ground_energy(h: OscillatorHamiltonian) -> float:
+    """Lowest eigenvalue in MeV."""
+    return ground_state(h)[0]

@@ -24,8 +24,8 @@ from deuteronvqe.driver import (
     zne_energy,
 )
 from deuteronvqe.estimator import (FIT_KINDS, ZneResult, basis_rotation_circuit,
-                                   energy_estimate, linear_estimate, measurement_settings,
-                                   richardson_extrapolate)
+                                   energy_estimate, measurement_settings,
+                                   richardson_extrapolate, _moments)
 from deuteronvqe.hamiltonian import (EftConfig, OscillatorHamiltonian, PauliHamiltonian,
                                      build_oscillator_hamiltonian, exact_ground_energy,
                                      jordan_wigner)
@@ -359,7 +359,8 @@ def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
         for (c, w), row in zip(s.terms, readout_rows.rows):  # the per-term points
             g = inverse @ _z_signs(w)
             for r in rs:
-                point = linear_estimate(row, shots * observed[r, s.basis])
+                mean, variance = _moments(row, shots * observed[r, s.basis])
+                point = (mean, math.sqrt(variance))
                 exact = (g @ observed[r, s.basis], sd(g, observed[r, s.basis]))
                 assert np.allclose(point, exact, rtol=0, atol=1e-12), (w, r)
 

@@ -17,13 +17,13 @@ from deuteronvqe.estimator import (
     extrapolate_histograms,
     histogram_array,
     histogram_dict,
-    linear_estimate,
     measurement_settings,
     polynomial_fit,
     richardson_extrapolate,
     spam_correct,
     weight_rows,
     _bit_labels,
+    _moments,
     _parity_signs,
 )
 from deuteronvqe.hamiltonian import (EftConfig, PauliHamiltonian, build_oscillator_hamiltonian,
@@ -67,13 +67,23 @@ def test_settings_reject_mixed_axis_terms():
 
 
 def test_parity_row_examples():
-    # a word's row on raw counts is its parity signs, so sigma is sqrt((1 - mean^2)/shots)
+    # a word's row on raw counts is its parity signs, so the variance is (1 - mean^2)/shots
     zz, zi, ii = weight_rows(["ZZ", "ZI", "II"])
-    assert linear_estimate(zz, histogram_array({"10": 100}, 2)) == (-1.0, 0.0)
-    mean, sigma = linear_estimate(zi, histogram_array({"00": 50, "11": 50}, 2))
+    assert _moments(zz, histogram_array({"10": 100}, 2)) == (-1.0, 0.0)
+    mean, variance = _moments(zi, histogram_array({"00": 50, "11": 50}, 2))
     assert mean == 0.0
-    assert sigma == pytest.approx(0.1)
-    assert linear_estimate(ii, histogram_array({"01": 7}, 2)) == (1.0, 0.0)
+    assert math.sqrt(variance) == pytest.approx(0.1)
+    assert _moments(ii, histogram_array({"01": 7}, 2)) == (1.0, 0.0)
+
+
+def test_single_outcome_histogram_has_zero_sigma():
+    # every shot in one outcome: the centred variance is exactly 0, where the
+    # uncentred sum w^2 p - (w.p)^2 cancelled to 6.7e-8 on the readout-inverted z row
+    pauli = jordan_wigner(build_oscillator_hamiltonian(EftConfig(3)))
+    z = measurement_settings(pauli, (flip_matrix(0.18),) * 3)[0]
+    energy, sigma = energy_estimate(pauli, {"z": histogram_array({"100": 25}, 3)}, [z])
+    assert sigma == 0.0
+    assert energy == pytest.approx(pauli.identity_coefficient + z.weights[0b100], abs=1e-12)
 
 
 def test_parity_signs_built_once_and_read_only():
@@ -92,17 +102,17 @@ def test_histogram_records_share_key_objects():
     assert all(key is _bit_labels(3)[int(key, 2)] for key in [*a, *b])
 
 
-def test_linear_estimate_errors():
+def test_moments_errors():
     zi = weight_rows(["ZI"])[0]
     with pytest.raises(ValueError):
-        linear_estimate(zi, {})
+        _moments(zi, {})
     with pytest.raises(ValueError, match="no weight"):
-        linear_estimate(zi, np.zeros(4))
+        _moments(zi, np.zeros(4))
     # a histogram of the wrong length, and the bit-string dicts whose short or
     # long keys were once read as if they covered every qubit
     for hist in (np.ones(2), np.ones(8), np.ones((2, 2)), {"10": 5, "1": 3}, {"101": 5}):
         with pytest.raises(ValueError, match=r"histogram of shape \(4,\)"):
-            linear_estimate(zi, hist)
+            _moments(zi, hist)
 
 
 def test_parity_rows_match_diagonal_oracle():
@@ -114,7 +124,7 @@ def test_parity_rows_match_diagonal_oracle():
             diag = np.diagonal(PauliHamiltonian(n, [(1.0, word)]).to_matrix()).real
             for _ in range(5):
                 p = rng.dirichlet(np.ones(2**n))
-                mean, _ = linear_estimate(weight_rows([word])[0], p)
+                mean, _ = _moments(weight_rows([word])[0], p)
                 assert abs(mean - p @ diag) <= 1e-12, (word, mean, p @ diag)
 
 
@@ -185,8 +195,8 @@ def test_weight_rows_fold_readout_inversion(case):
     mask = sum(1 << (n - 1 - q) for q, letter in enumerate(word) if letter != "I")
     parity = sum(pi * (-1) ** bin(i & mask).count("1") for i, pi in enumerate(p))
     observed = apply_confusion(p, confusion)
-    mean, sigma = linear_estimate(weight_rows([word], confusion)[0], observed)
-    assert abs(mean - parity) <= 1e-12 and sigma >= 0
+    mean, variance = _moments(weight_rows([word], confusion)[0], observed)
+    assert abs(mean - parity) <= 1e-12 and variance >= 0
     assert np.abs(spam_correct(observed, confusion) - p).max() <= 1e-12
 
 
@@ -391,7 +401,7 @@ def test_richardson_recovers_truth_on_synthetic_series():
 def _run_histograms(draw):
     """A model's Pauli form at n = 2 or 3, its settings under a random readout
     flip (or none), fold levels enough for a random fit kind, random counts
-    per (level, setting) and whether the fit is weighted."""
+    as one (level, setting, outcome) array and whether the fit is weighted."""
     n = draw(st.integers(2, 3))
     eps = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.2)))
     kind = draw(st.sampled_from(FIT_KINDS))
@@ -400,43 +410,72 @@ def _run_histograms(draw):
     pauli = jordan_wigner(build_oscillator_hamiltonian(EftConfig(n)))
     settings = measurement_settings(pauli, (flip_matrix(eps),) * n if eps else ())
     counts = st.lists(st.integers(0, 40), min_size=2**n, max_size=2**n).filter(any)
-    histograms = [{s.basis: np.array(draw(counts)) for s in settings} for _ in levels]
-    return pauli, settings, [2 * m + 1 for m in levels], histograms, kind, draw(st.booleans())
+    stacked = np.array([[draw(counts) for _ in settings] for _ in levels])
+    return pauli, settings, [2 * m + 1 for m in levels], stacked, kind, draw(st.booleans())
 
 
 @settings(max_examples=150)
 @given(_run_histograms())
 def test_extrapolate_histograms_fits_the_energy_series(case):
-    # a plain run is the fit of its energy series, less the identity
-    # coefficient, which is a constant and is added after the fit: a point sigma
-    # near 0 (one outcome in every histogram of a level) makes a fit whose
-    # intercept row sums to 1 only to about 1e-8, and that error would
-    # multiply the identity.  Without weights every term shares the energy's
-    # fit, so the per-term result equals the plain one.
-    pauli, settings, rs, histograms, kind, weighted = case
-    plain = extrapolate_histograms(pauli, settings, rs, histograms, kind, weighted)
-    identity = pauli.identity_coefficient
-    points = [ZnePoint(r, *energy_estimate(pauli, level, settings)) for r, level in zip(rs, histograms)]
-    fit = richardson_extrapolate(ZneSeries([ZnePoint(p.r, p.value - identity, p.sigma)
-                                            for p in points]), kind, weighted)
-    assert abs(plain.intercept - (identity + fit.intercept)) <= 1e-12
+    # the returned series is `energy_estimate` on each level, and a plain run is
+    # the fit of that series, identity coefficient included: a level whose
+    # histograms have no spread has sigma exactly 0, so no fit weighs a point by
+    # the inverse square of a rounding residue.  Without weights every term
+    # shares the energy's fit, so the per-term result equals the plain one.
+    pauli, settings, rs, counts, kind, weighted = case
+    series, plain = extrapolate_histograms(pauli, settings, rs, counts, kind, weighted)
+    points = [ZnePoint(r, *energy_estimate(pauli, {s.basis: h for s, h in zip(settings, level)},
+                                           settings))
+              for r, level in zip(rs, counts)]
+    for got, want in zip(series.points, points, strict=True):
+        assert got.r == want.r
+        assert abs(got.value - want.value) <= 1e-12 and abs(got.sigma - want.sigma) <= 1e-12
+    fit = richardson_extrapolate(ZneSeries(points), kind, weighted)
+    assert abs(plain.intercept - fit.intercept) <= 1e-12
     assert abs(plain.slope - fit.slope) <= 1e-12
     assert plain.weighted == fit.weighted == (weighted and all(p.sigma > 0 for p in points))
     if all(p.sigma > 0 for p in points):
         assert abs(plain.intercept_sigma - fit.intercept_sigma) <= 1e-12
     if not weighted:
-        per_term = extrapolate_histograms(pauli, settings, rs, histograms, kind, False, per_term=True)
+        _, per_term = extrapolate_histograms(pauli, settings, rs, counts, kind, False,
+                                             per_term=True)
         assert not per_term.weighted
         for a, b in ((per_term.intercept, plain.intercept), (per_term.slope, plain.slope),
                      (per_term.intercept_sigma, plain.intercept_sigma)):
             assert abs(a - b) <= 1e-12
 
 
+@pytest.mark.parametrize("per_term", [False, True])
+@pytest.mark.parametrize("n, flip, level", [
+    # every histogram of the level holds |100>, read through readout-inverted
+    # rows: the uncentred sum w^2 p - (w.p)^2 left a sigma of 6.7e-8
+    (3, 0.18, [histogram_array({"100": 25}, 3)] * 3),
+    # the x and y shots fall on two outcomes of one parity: a sum centred on
+    # the mean alone left a sigma of 1.3e-16, and the weighted fit an intercept
+    # 3.1 MeV from the unweighted one
+    (2, 0.0, [[0, 0, 25, 0], [1, 0, 0, 23], [0, 1, 23, 0]]),
+], ids=["one-outcome", "one-weight"])
+def test_level_without_spread_is_fitted_without_weights(n, flip, level, per_term):
+    # a level whose histograms have no spread has sigma exactly 0, so the fit
+    # falls back to no weights instead of weighing that point by 1e14 or more
+    pauli = jordan_wigner(build_oscillator_hamiltonian(EftConfig(n)))
+    settings = measurement_settings(pauli, (flip_matrix(flip),) * n if flip else ())
+    rng = np.random.default_rng(7)
+    counts = np.array([level, *rng.integers(1, 10, size=(2, len(settings), 2**n))])
+    series, result = extrapolate_histograms(pauli, settings, [1, 3, 5], counts,
+                                            per_term=per_term)
+    assert series.points[0].sigma == 0.0
+    assert all(p.sigma > 0 for p in series.points[1:])
+    assert not result.weighted
+    assert result.intercept == pytest.approx(
+        richardson_extrapolate(series, weighted=False).intercept, abs=1e-12)
+
+
 def test_extrapolate_histograms_needs_one_histogram_set_per_r(pauli_h2):
     settings = measurement_settings(pauli_h2)
-    level = {s.basis: np.array([3, 1, 0, 2]) for s in settings}
+    level = [[3, 1, 0, 2]] * len(settings)
     with pytest.raises(ValueError):
-        extrapolate_histograms(pauli_h2, settings, [1, 3, 5], [level, level])
+        extrapolate_histograms(pauli_h2, settings, [1, 3, 5], np.array([level, level]))
 
 
 def test_basis_rotation_circuits():

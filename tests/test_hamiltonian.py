@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sturm_ground_energy
 from deuteronvqe.hamiltonian import (
     EftConfig,
     OscillatorHamiltonian,
@@ -160,25 +161,29 @@ def test_exact_ground_energy_matches_dense_solver():
         e = rng.normal(size=n - 1) * 3
         m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         h = OscillatorHamiltonian(m)
-        assert exact_ground_energy(h) == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
+        assert sturm_ground_energy(h) == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
+        assert exact_ground_energy(h) == pytest.approx(sturm_ground_energy(h), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_exact_ground_energy_matches_lapack_tridiagonal(n):
-    # oracle: LAPACK's own bisection (stebz) through scipy; the package uses no scipy
-    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    # oracles: the Sturm bisection of the tests, and LAPACK's own (stebz)
+    # through scipy; the package uses no scipy
     h = build_oscillator_hamiltonian(EftConfig(n))
+    assert exact_ground_energy(h) == pytest.approx(sturm_ground_energy(h), abs=1e-12)
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
     expected = eigh_tridiagonal(np.diag(h.entries), np.diag(h.entries, 1), eigvals_only=True,
                                 select="i", select_range=(0, 0))[0]
     assert exact_ground_energy(h) == pytest.approx(expected, abs=1e-12)
+    assert sturm_ground_energy(h) == pytest.approx(expected, abs=1e-12)
 
 
-def test_exact_ground_energy_rejects_non_tridiagonal():
+def test_sturm_oracle_rejects_non_tridiagonal():
     # the bisection reads only the two diagonals; a corner entry would be dropped
     m = np.zeros((3, 3))
     m[0, 2] = m[2, 0] = 1.0
     with pytest.raises(ValueError, match="tridiagonal"):
-        exact_ground_energy(OscillatorHamiltonian(m))
+        sturm_ground_energy(OscillatorHamiltonian(m))
 
 
 def test_package_import_loads_no_scipy():
@@ -201,7 +206,8 @@ def test_variational_bound(h4):
 
 def test_ground_state_consistency(h3):
     e, v = ground_state(h3)
-    assert e == pytest.approx(exact_ground_energy(h3), abs=1e-12)
+    assert e == exact_ground_energy(h3)
+    assert e == pytest.approx(sturm_ground_energy(h3), abs=1e-12)
     assert np.allclose(h3.entries @ v, e * v, atol=1e-10)
 
 

@@ -35,8 +35,8 @@ from .ansatz import (
 from .circuits import ConfigError, LogicalCircuit, NativeCircuit, checked
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
 from .driver import RunConfig, ScanSpec, convergence_report, landscape_scan, vqe_run
-from .estimator import (BASIS_LABELS, FIT_KINDS, ZnePoint, ZneSeries, basis_rotation_circuit,
-                        histogram_dict, richardson_extrapolate)
+from .estimator import (BASIS_LABELS, DEFAULT_FIT, FIT_KINDS, ZnePoint, ZneSeries,
+                        basis_rotation_circuit, histogram_dict, richardson_extrapolate)
 from .hamiltonian import (
     DEFAULT_HBAR_OMEGA,
     DEFAULT_V0,
@@ -50,9 +50,11 @@ from .simulator import (
     DEFAULT_P2,
     DEFAULT_READOUT_FLIP,
     DEFAULT_SHOTS,
+    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     fold_circuit,
+    noisy_distributions,
     sample_shots_noisy,
 )
 
@@ -100,6 +102,7 @@ def _run_config(args, lambdas=None) -> RunConfig:
         lambdas=lambdas,
         shots=args.shots,
         fold_levels=_parse_list(args.fold, int),
+        fold_scope=args.fold_scope,
         noise=NoiseModel.ion_defaults(args.n, args.p1, args.p2, args.readout_eps),
         seed=args.seed,
         fit=args.fit,
@@ -181,11 +184,11 @@ def cmd_transpile(args) -> dict[str, Path]:
 def cmd_simulate(args) -> dict[str, Path]:
     native = NativeCircuit.from_json(_read(Path(args.circuit)))
     n = native.n_qubits
-    spec = FoldSpec(args.fold_m)
-    folded = fold_circuit(native, spec)
+    spec = FoldSpec(args.fold_m, args.fold_scope)
     noise = NoiseModel.ion_defaults(n, args.p1, args.p2, args.readout_eps)
-    rotations = basis_rotation_circuit(args.basis, n)
-    counts = sample_shots_noisy(folded, rotations, args.shots, noise, args.seed)
+    rotations = {args.basis: fold_circuit(basis_rotation_circuit(args.basis, n), spec)}
+    probs = noisy_distributions(fold_circuit(native, spec), rotations, noise)[args.basis]
+    counts = sample_shots_noisy(probs, args.shots, args.seed)
     record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed, "r": spec.r}
     out = Path(args.out)
     files = {"counts": out / f"counts_{args.basis}_r{record['r']}.json"}
@@ -237,6 +240,7 @@ def cmd_vqe(args) -> dict[str, Path]:
         "energy": result.zne.intercept,
         "sigma": result.zne.intercept_sigma,
         "fit": result.zne.kind,
+        "fold_scope": cfg.fold_scope,
         "seed": args.seed,
         "shots": args.shots,
         "converged": result.converged,
@@ -351,7 +355,9 @@ FLAGS = {
     "readout-eps": dict(type=rate, default=DEFAULT_READOUT_FLIP),
     "fold": dict(default="0,1,2,3", help="comma list of fold levels m"),
     "fold-m": dict(type=int, default=0, help="fold level m of the sampled circuit"),
-    "fit": dict(choices=FIT_KINDS, default=FIT_KINDS[0]),
+    "fold-scope": dict(choices=FOLD_SCOPES, default=FOLD_SCOPES[0],
+                       help="fold every gate (all) or the XX gates only (xx)"),
+    "fit": dict(choices=FIT_KINDS, default=DEFAULT_FIT),
     "unweighted": dict(action="store_true"),
     "per-term": dict(action="store_true", help="extrapolate each Hamiltonian term separately"),
     "lambdas": dict(help="comma list of N-1 angles; default: optimal (vqe: search)"),
@@ -376,7 +382,8 @@ class Command(NamedTuple):
     overrides: dict[str, dict] = {}  # argparse keywords that differ from FLAGS
 
 
-_PIPELINE = "n hbar-omega v0 seed shots p1 p2 readout-eps fold fit unweighted per-term lambdas out"
+_PIPELINE = ("n hbar-omega v0 seed shots p1 p2 readout-eps fold fold-scope fit unweighted per-term "
+             "lambdas out")
 COMMANDS = {
     "ham": Command(cmd_ham, "emit oscillator and qubit Hamiltonians",
                    "n hbar-omega v0 out", "h{n}_artifact.json"),
@@ -386,7 +393,7 @@ COMMANDS = {
                          "circuit optimize emit-counts out",
                          "transpile_artifact.json"),
     "simulate": Command(cmd_simulate, "sample a native circuit",
-                        "circuit basis fold-m seed shots p1 p2 readout-eps out",
+                        "circuit basis fold-m fold-scope seed shots p1 p2 readout-eps out",
                         "simulate_artifact.json",
                         {"circuit": dict(help="native circuit JSON"),
                          "shots": dict(type=_counts_from(1), help="shots, at least 1")}),

@@ -1,17 +1,16 @@
 """End-to-end runs: noisy ZNE pipeline, parameter optimization, scans, reports.
 
 One evaluation of the pipeline at fixed parameters means: build the ansatz
-circuit, lower it to native gates, fold it at each requested level, draw
-per-setting shot histograms from the exact noise channel into one
-(fold level, setting, outcome) count array, and read that array once
-(`extrapolate_histograms`) for the energy series and its fit to r = 0, each
-histogram through its setting's weight rows (readout inversion folded into
-the weights, built once per evaluation).  With ``shots = 0``
-`simulator.ideal_distributions` runs the native circuit on |0...0> with the
-circuit's one walk, `Circuit.apply`, and then each setting's rotations on
-that state; the squared amplitudes stand in for the setting's histogram,
-read through the same weight rows, and the pipeline reproduces the analytic
-ansatz energy.
+circuit, lower it to native gates, and read each measurement setting's
+outcome distribution through its weight rows (readout inversion folded into
+the weights, built once per evaluation).  A noisy run folds the circuit and
+each setting's rotations at each requested level in the run's fold scope,
+takes their `simulator.noisy_distributions` (one density walk per level),
+draws each setting's histogram into one (fold level, setting, outcome)
+count array, and reads that array once (`extrapolate_histograms`) for the
+energy series and its fit to r = 0.  With ``shots = 0`` the unfolded
+circuit's `simulator.ideal_distributions` stand in for the histograms, and
+the pipeline reproduces the analytic ansatz energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -51,6 +50,7 @@ from .ansatz import (
 from .circuits import ConfigError, NativeCircuit, checked
 from .compiler import optimize_native, transpile
 from .estimator import (
+    DEFAULT_FIT,
     FIT_KINDS,
     ZnePoint,
     ZneResult,
@@ -76,10 +76,12 @@ from .hamiltonian import (
 from .refdata import EXACT_BINDING_ENERGY, PLATFORM_RESULTS
 from .simulator import (
     DEFAULT_SHOTS,
+    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     fold_circuit,
     ideal_distributions,
+    noisy_distributions,
     sample_shots_noisy,
 )
 
@@ -102,9 +104,10 @@ class RunConfig:
     lambdas: tuple[float, ...] | None = None  # None -> optimize
     shots: int = DEFAULT_SHOTS                # 0 -> exact expectations
     fold_levels: tuple[int, ...] = (0, 1, 2, 3)
+    fold_scope: str = FOLD_SCOPES[0]
     noise: NoiseModel | None = None
     seed: int = 0
-    fit: str = FIT_KINDS[0]
+    fit: str = DEFAULT_FIT
     weighted: bool = True
     per_term: bool = False
     convention: ClassVar[AngleConvention] = RESOLVED_CONVENTION
@@ -124,6 +127,7 @@ class RunConfig:
             raise ConfigError("fold levels must be a non-empty list")
         for m in self.fold_levels:
             checked("fold level", m, int, ge=0)
+        FoldSpec(0, self.fold_scope)  # checks the scope
         checked("shots", self.shots, int, ge=0)
         checked("seed", self.seed, int, ge=0)
         checked("max_evals", self.max_evals, int, ge=1)
@@ -217,7 +221,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     native = prepared_native_circuit(cfg, params)
     # the weight rows read raw counts: readout inversion is folded into them
     settings = measurement_settings(pauli, cfg.noise.readout if cfg.shots else ())
-    specs = [FoldSpec(m) for m in sorted(set(cfg.fold_levels))]
+    specs = [FoldSpec(m, cfg.fold_scope) for m in sorted(set(cfg.fold_levels))]
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
@@ -230,10 +234,12 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
     counts = np.zeros((len(specs), len(settings), 2**native.n_qubits))
     for i, spec in enumerate(specs):
-        folded = fold_circuit(native, spec)
+        probs = noisy_distributions(fold_circuit(native, spec),
+                                    {s.basis: fold_circuit(s.rotations, spec) for s in settings},
+                                    cfg.noise)
         for bidx, setting in enumerate(settings):
             child = _child_seed(cfg.seed, spec.m, bidx)
-            hist = sample_shots_noisy(folded, setting.rotations, cfg.shots, cfg.noise, child)
+            hist = sample_shots_noisy(probs[setting.basis], cfg.shots, child)
             if count_records is not None:
                 count_records.append({
                     "lambdas": lambdas, "r": spec.r,

@@ -52,6 +52,8 @@ _BASIS_ROTATIONS = {"z": (), "x": (("ry", -math.pi / 2),), "y": (("rx", math.pi 
 BASIS_LABELS = tuple(_BASIS_ROTATIONS)
 # Richardson fit kinds; the polynomial degree is the position in this tuple plus one
 FIT_KINDS = ("linear", "quadratic")
+# the default fit: folding every gate leaves a curved decay that a line misses
+DEFAULT_FIT = "quadratic"
 # a confusion matrix whose |determinant| lies below this cannot be inverted
 _SINGULAR_DET = 1e-12
 
@@ -279,7 +281,8 @@ def fit_matrix(x, sigma, deg: int, weighted: bool = True) -> tuple[np.ndarray, b
     if len(x) == deg + 1:
         return np.linalg.inv(v), use_weights
     root_w = 1.0 / sigma if use_weights else np.ones_like(x)
-    return np.linalg.pinv(v * root_w[:, None]) * root_w, use_weights
+    # no cutoff: distinct x give full column rank, however unequal the weights
+    return np.linalg.pinv(v * root_w[:, None], rtol=0) * root_w, use_weights
 
 
 def polynomial_fit(x, y, sigma, deg: int,

@@ -9,15 +9,15 @@ confusion matrix.
 
 `run_density` evolves the density matrix through this channel exactly, gate
 by gate, and the test suite holds it against an independent channel oracle.
-`fold_circuit` builds the folded gate list and constructs one new circuit:
-circuits are frozen values, never edited in place.  `sample_shots_noisy`,
-the one sampler, evolves the circuit's gates, then the setting's rotations,
-and builds no joined circuit.  Every shot is an independent draw from
-diag(rho) pushed through the readout matrices, so it returns one multinomial draw:
-the int count vector of length 2^n indexed by basis state (qubit 0 the most
-significant bit) that the estimator consumes.  Exact runs read
-`ideal_distributions`: `Circuit.apply`, the circuit's one walk, on |0...0>,
+`fold_circuit` folds every gate, or the XX gates only, into one new circuit:
+circuits are frozen values, never edited in place.  Both kinds of run read
+{setting: outcome probabilities} indexed by basis state (qubit 0 the most
+significant bit): `noisy_distributions` walks the circuit once with
+`run_density`, then each setting's rotations on vec(rho), through the readout
+matrices; `ideal_distributions` walks it noise-free with `Circuit.apply`,
 whose gate matrices `run_density` takes from the same table.
+`sample_shots_noisy`, the one sampler, draws a distribution's shots as one
+multinomial draw: the int count vector that the estimator consumes.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -86,14 +86,21 @@ def _ion_defaults(n_qubits: int, p1: float, p2: float, readout_eps: float) -> No
     return NoiseModel(p1, p2, (frozen(flip_matrix(readout_eps)),) * n_qubits)
 
 
+FOLD_SCOPES = ("all", "xx")  # every executed gate, or the paper's XX gates only
+
+
 @dataclass(frozen=True)
 class FoldSpec:
-    """Noise amplification level: each XX(chi) becomes 2m+1 alternating XX gates."""
+    """Noise amplification level: each folded gate becomes 2m+1 alternating gates."""
 
     m: int
+    scope: str = FOLD_SCOPES[0]
 
     def __post_init__(self):
         checked("fold level m", self.m, int, ge=0)
+        if self.scope not in FOLD_SCOPES:
+            raise ConfigError(f"fold scope must be one of {', '.join(FOLD_SCOPES)}, "
+                              f"got {self.scope!r}")
 
     @property
     def r(self) -> int:
@@ -101,16 +108,17 @@ class FoldSpec:
 
 
 def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
-    """Replace each XX(chi) by the run XX(chi) [XX(-chi) XX(chi)]^m.
+    """Replace each gate G in the fold scope by the run G (G^dag G)^m, G^dag
+    the same kind at -angle (every native gate is a rotation).
 
-    The ideal unitary is unchanged; two-qubit noise exposure scales with
-    r = 2m + 1.  All other gates pass through untouched.
+    The ideal unitary is unchanged; the noise exposure of the folded gates
+    scales with r = 2m + 1.  Other gates pass through untouched.
     """
     gates = []
     for g in circuit.gates:
         gates.append(g)
-        if g.kind == "xx":
-            gates += [Gate("xx", g.qubits, -g.angle), g] * spec.m
+        if spec.scope == "all" or g.kind == "xx":
+            gates += [Gate(g.kind, g.qubits, -g.angle), g] * spec.m
     return NativeCircuit(circuit.n_qubits, gates)
 
 
@@ -156,31 +164,34 @@ def _evolve(vec: np.ndarray, circuit: NativeCircuit, gates, noise: NoiseModel) -
 
 def ideal_distributions(circuit: NativeCircuit, rotations: dict) -> dict[str, np.ndarray]:
     """Noise-free outcome probabilities of `circuit` then each named rotation
-    circuit, indexed like `sample_shots_noisy` counts; `circuit` is walked once."""
+    circuit; `circuit` is walked once."""
     state = circuit.apply(np.eye(1, 2**circuit.n_qubits, dtype=complex)[0])  # from |0...0>
     return {name: np.abs(r.apply(state)) ** 2 for name, r in rotations.items()}
 
 
-def sample_shots_noisy(circuit: NativeCircuit, basis_rotations: NativeCircuit | None,
-                       shots: int, noise: NoiseModel, seed: int) -> np.ndarray:
-    """Shot counts of the circuit under `noise`, as one multinomial draw.
-
-    The basis-change rotations are part of the executed circuit and are
-    subject to the same single-qubit noise.  Each shot is an independent
-    draw from diag(rho) pushed through the per-qubit readout matrices.
-    """
-    checked("shots", shots, int, ge=1)
-    checked("seed", seed, int, ge=0)
+def noisy_distributions(circuit: NativeCircuit, rotations: dict,
+                        noise: NoiseModel) -> dict[str, np.ndarray]:
+    """Outcome probabilities under `noise` of `circuit` then each named rotation
+    circuit, its gates noisy too, through the readout matrices; `circuit` is walked once."""
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
         raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
-    rotations = basis_rotations.gates if basis_rotations is not None else ()
-    if any(g.kind not in circuit.GATES or max(g.qubits) >= n for g in rotations):
+    if any(g.kind not in circuit.GATES or max(g.qubits) >= n
+           for r in rotations.values() for g in r.gates):
         raise ConfigError(f"basis rotations must be native gates on qubits below {n}")
-    vec = _evolve(run_density(circuit, noise).ravel(), circuit, rotations, noise)
-    # rounding can leave diagonal entries of order -1e-17
-    probs = np.clip(np.diagonal(vec.reshape(2**n, 2**n)).real, 0.0, None)
-    if noise.readout:
-        probs = apply_confusion(probs, noise.readout)
+    vec = run_density(circuit, noise).ravel()
+    out = {}
+    for name, r in rotations.items():
+        # rounding can leave diagonal entries of order -1e-17
+        probs = np.clip(np.diagonal(_evolve(vec, circuit, r.gates, noise).reshape(2**n, 2**n)).real,
+                        0.0, None)
+        out[name] = apply_confusion(probs, noise.readout) if noise.readout else probs
+    return out
+
+
+def sample_shots_noisy(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of `shots` independent draws from `probabilities`: one multinomial draw."""
+    checked("shots", shots, int, ge=1)
+    checked("seed", seed, int, ge=0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_MEASURE]))
-    return rng.multinomial(shots, probs / probs.sum())
+    return rng.multinomial(shots, probabilities / probabilities.sum())

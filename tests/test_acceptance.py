@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criterion 5's coverage clause is asserted exactly as stated.  It is expected
-to fail at the pinned default noise rates: rotation noise is not amplified
-by XX folding, so it leaves an r-independent bias (about 0.85 MeV for the
-three-state circuit) that extrapolation in r cannot remove.  The same
-pipeline passes the identical coverage check when the noise budget is
-dominated by XX gates (see test_driver.test_vqe_noisy_xx_only_covers_truth).
-The analysis, with the exact channel's intercepts for each fold scope and fit,
+Criterion 5's coverage clause is asserted exactly as stated, and it reads
+the defaults of `RunConfig`: every executed gate folded, the measurement
+rotations included, and a quadratic fit in r.  The paper's protocol,
+XX-only folding with a linear fit, leaves the rotation noise unamplified,
+an r-independent bias of about 0.85 MeV for the three-state circuit, and
+covers none of the criterion's seeds at the pinned default rates.  The
+analysis, with the exact channel's intercepts for each fold scope and fit,
 is the exact-channel table under item 1 of ROADMAP.md.
 """
 import math

@@ -290,6 +290,19 @@ def test_richardson_exact_line():
     assert res.weighted
 
 
+@pytest.mark.parametrize("sigma", [1e-16, 1e-12, 1e-9])
+def test_weighted_fit_passes_through_a_point_of_tiny_sigma(sigma):
+    # distinct r give the weighted Vandermonde matrix full column rank, so no
+    # singular value is cut, however unequal the weights: the line passes
+    # through the first point, and the intercept is its value minus the slope
+    series = ZneSeries([ZnePoint(1, -0.43658, sigma), ZnePoint(3, 8.176157, 1.356396),
+                        ZnePoint(5, 6.626049, 1.33829)])
+    res = richardson_extrapolate(series, "linear")
+    assert res.intercept == pytest.approx(-0.43658 - res.slope, abs=1e-9)
+    assert res.intercept == pytest.approx(-2.699542, abs=1e-6)
+    assert res.intercept_sigma == pytest.approx(0.300047, abs=1e-6)
+
+
 def test_richardson_constant_series():
     series = ZneSeries([ZnePoint(r, -2.046, 0.05) for r in (1, 3, 5, 7)])
     res = richardson_extrapolate(series)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deuteronvqe.ansatz import HypersphericalParams
-from deuteronvqe.circuits import ConfigError, Gate, NativeCircuit, checked
+from deuteronvqe.circuits import ConfigError, Gate, checked
 from deuteronvqe.driver import RunConfig, ScanSpec
 from deuteronvqe.estimator import ZnePoint
 from deuteronvqe.hamiltonian import EftConfig
@@ -58,11 +58,9 @@ SETTINGS = {
     "ScanSpec.values": (float, lambda v: ScanSpec(0, (0.1, v), (0.5, 0.5)), _ANGLE, None),
     "ScanSpec.fixed": (float, lambda v: ScanSpec(0, (0.1,), (0.5, v)), _ANGLE, None),
     "Gate.angle": (float, lambda v: Gate("rx", (0,), v), _ANGLE, None),
-    "sample_shots_noisy.shots": (int, lambda v: sample_shots_noisy(NativeCircuit(1), None, v,
-                                                                   NoiseModel(), 0),
+    "sample_shots_noisy.shots": (int, lambda v: sample_shots_noisy(np.array([1.0, 0.0]), v, 0),
                                  st.integers(1, 10**6), st.integers(max_value=0)),
-    "sample_shots_noisy.seed": (int, lambda v: sample_shots_noisy(NativeCircuit(1), None, 1,
-                                                                  NoiseModel(), v),
+    "sample_shots_noisy.seed": (int, lambda v: sample_shots_noisy(np.array([1.0, 0.0]), 1, v),
                                 st.integers(0, 2**31 - 1), st.integers(max_value=-1)),
     "ZnePoint.r": (int, lambda v: ZnePoint(v, 0.0, 0.1), st.integers(0, 50).map(lambda k: 2 * k + 1),
                    st.integers(max_value=0) | st.integers(1, 50).map(lambda k: 2 * k)),

@@ -10,16 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import evolve_density, native_circuits, one_hot_embedding
 
+from deuteronvqe import simulator
 from deuteronvqe.ansatz import HypersphericalParams, amplitudes, build_ansatz_circuit
 from deuteronvqe.circuits import PAULI, ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import BASIS_LABELS, apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
+    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     flip_matrix,
     fold_circuit,
     ideal_distributions,
+    noisy_distributions,
     run_density,
     sample_shots_noisy,
     _pauli_channel,
@@ -28,6 +31,12 @@ from deuteronvqe.simulator import (
 
 def _native(n, gates):
     return NativeCircuit(n, list(gates))
+
+
+def _distribution(circ, noise, rotations=None):
+    """Outcome probabilities of one circuit, then `rotations` (none: measured in Z)."""
+    rotations = NativeCircuit(circ.n_qubits) if rotations is None else rotations
+    return noisy_distributions(circ, {"z": rotations}, noise)["z"]
 
 
 def test_apply_empty_circuit():
@@ -84,6 +93,23 @@ def test_fold_alternating_signs():
     assert angles == [0.3, -0.3, 0.3, -0.3, 0.3]
 
 
+def test_fold_scope_all_folds_every_gate():
+    # scope "all" maps each gate G to G (G^dag G)^m, G^dag the same kind at -angle;
+    # scope "xx" folds the XX gates only, so rotation circuits pass through it
+    circ = _native(2, [Gate("rx", (0,), 0.2), Gate("xx", (0, 1), 0.3), Gate("rz", (1,), -0.7)])
+    folded = fold_circuit(circ, FoldSpec(1, "all"))
+    assert [(g.kind, g.angle) for g in folded.gates] == [
+        ("rx", 0.2), ("rx", -0.2), ("rx", 0.2), ("xx", 0.3), ("xx", -0.3), ("xx", 0.3),
+        ("rz", -0.7), ("rz", 0.7), ("rz", -0.7)]
+    assert [g.angle for g in fold_circuit(circ, FoldSpec(1, "xx")).gates] == [
+        0.2, 0.3, -0.3, 0.3, -0.7]
+    assert FoldSpec(1).scope == FOLD_SCOPES[0] == "all"
+    for basis in BASIS_LABELS:
+        rotations = basis_rotation_circuit(basis, 3)
+        assert fold_circuit(rotations, FoldSpec(3, "xx")) == rotations
+        assert len(fold_circuit(rotations, FoldSpec(3, "all")).gates) == 7 * len(rotations.gates)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
 def test_fold_identity_up_to_phase(m):
     rng = np.random.default_rng(m)
@@ -136,11 +162,12 @@ def test_density_and_draw_deterministic_in_seed():
     circ = _native(2, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5)] * 3)
     noise = NoiseModel(0.2, 0.3)
     assert np.array_equal(run_density(circ, noise), run_density(circ, noise))
-    a = sample_shots_noisy(circ, None, 64, noise, seed=123)
-    b = sample_shots_noisy(circ, None, 64, noise, seed=123)
+    probs = _distribution(circ, noise)
+    a = sample_shots_noisy(probs, 64, seed=123)
+    b = sample_shots_noisy(probs, 64, seed=123)
     assert np.array_equal(a, b)
-    assert not np.array_equal(sample_shots_noisy(circ, None, 10_000, noise, seed=5),
-                              sample_shots_noisy(circ, None, 10_000, noise, seed=6))
+    assert not np.array_equal(sample_shots_noisy(probs, 10_000, seed=5),
+                              sample_shots_noisy(probs, 10_000, seed=6))
 
 
 def test_density_stays_physical():
@@ -178,7 +205,7 @@ def test_shot_frequencies_match_channel_and_readout():
                        Gate("xx", (2, 1), -1.2), Gate("ry", (1,), 0.4)])
     p1, p2 = 0.03, 0.05
     readout = (flip_matrix(0.3), np.array([[0.98, 0.02], [0.15, 0.85]]), flip_matrix(0.01))
-    counts = sample_shots_noisy(circ, None, shots, NoiseModel(p1, p2, readout), seed=17)
+    counts = sample_shots_noisy(_distribution(circ, NoiseModel(p1, p2, readout)), shots, seed=17)
     assert counts.sum() == shots
     expected = apply_confusion(np.diagonal(evolve_density(circ, p1, p2)).real, readout)
     for index, prob in enumerate(expected):
@@ -205,14 +232,15 @@ def test_noise_shrinks_term_magnitudes_with_r(pauli_h2):
 
 def test_sample_shots_noisy_basis_state():
     circ = _native(2, [Gate("rx", (0,), math.pi)])  # |10> up to phase
-    counts = sample_shots_noisy(circ, None, 100, NoiseModel(0, 0, (np.eye(2), np.eye(2))), seed=4)
+    counts = sample_shots_noisy(_distribution(circ, NoiseModel(0, 0, (np.eye(2), np.eye(2)))),
+                                100, seed=4)
     assert histogram_dict(counts) == {"10": 100}
 
 
 def test_sample_shots_noisy_full_readout_flip():
     circ = _native(2, [Gate("rx", (0,), math.pi)])
     readout = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-    counts = sample_shots_noisy(circ, None, 50, NoiseModel(0, 0, readout), seed=4)
+    counts = sample_shots_noisy(_distribution(circ, NoiseModel(0, 0, readout)), 50, seed=4)
     assert histogram_dict(counts) == {"00": 50}
 
 
@@ -220,7 +248,7 @@ def test_sample_shots_noisy_binomial_bound():
     n = 3
     circ = _native(n, [Gate("ry", (q,), math.pi / 2) for q in range(n)])  # uniform superposition
     shots = 100_000
-    counts = sample_shots_noisy(circ, None, shots, NoiseModel(0, 0, ()), seed=11)
+    counts = sample_shots_noisy(_distribution(circ, NoiseModel(0, 0, ())), shots, seed=11)
     p = 1 / 2**n
     bound = 4 * math.sqrt(p * (1 - p) / shots)
     assert counts.shape == (2**n,)
@@ -232,7 +260,8 @@ def test_sample_shots_noisy_binomial_bound():
 def test_sample_shots_noisy_basis_rotation():
     # |+> measured in the x basis is deterministic
     plus = _native(1, [Gate("ry", (0,), math.pi / 2)])
-    counts = sample_shots_noisy(plus, basis_rotation_circuit("x", 1), 200, NoiseModel(0, 0, ()), seed=0)
+    probs = _distribution(plus, NoiseModel(0, 0, ()), basis_rotation_circuit("x", 1))
+    counts = sample_shots_noisy(probs, 200, seed=0)
     assert histogram_dict(counts) == {"0": 200}
 
 
@@ -244,29 +273,64 @@ def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
     rotations = basis_rotation_circuit(basis, n)
     noise = NoiseModel.ion_defaults(n)
     joined = NativeCircuit(n, circ.gates + rotations.gates)
-    expected = sample_shots_noisy(joined, None, 1000, noise, seed)
-    assert np.array_equal(sample_shots_noisy(circ, rotations, 1000, noise, seed), expected)
+    expected = sample_shots_noisy(_distribution(joined, noise), 1000, seed)
+    assert np.array_equal(sample_shots_noisy(_distribution(circ, noise, rotations), 1000, seed),
+                          expected)
+
+
+@settings(max_examples=30)
+@given(native_circuits(max_qubits=3, max_gates=8), st.integers(0, 2), st.sampled_from(FOLD_SCOPES),
+       st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+def test_noisy_distributions_match_channel_oracle(circ, m, scope, p1, p2, eps):
+    # each setting's distribution is the diagonal of the independent channel
+    # oracle on the joined circuit, folded circuit then folded rotations,
+    # pushed through the full readout matrix
+    n = circ.n_qubits
+    spec = FoldSpec(m, scope)
+    noise = NoiseModel.ion_defaults(n, p1, p2, eps)
+    folded = fold_circuit(circ, spec)
+    rotations = {b: fold_circuit(basis_rotation_circuit(b, n), spec) for b in BASIS_LABELS}
+    probs = noisy_distributions(folded, rotations, noise)
+    assert list(probs) == list(rotations)
+    readout = reduce(np.kron, noise.readout)
+    for basis, rot in rotations.items():
+        rho = evolve_density(NativeCircuit(n, folded.gates + rot.gates), p1, p2)
+        assert np.abs(probs[basis] - readout.T @ np.diagonal(rho).real).max() <= 1e-12
+
+
+def test_sample_shots_noisy_draws_and_does_not_simulate(monkeypatch):
+    # the sampler is one multinomial draw of the normalised distribution on the
+    # seed's measurement stream; it walks no circuit
+    def no_walk(*args):
+        raise AssertionError("the sampler simulated")
+
+    monkeypatch.setattr(simulator, "run_density", no_walk)
+    monkeypatch.setattr(simulator, "_evolve", no_walk)
+    probs = np.array([0.4, 0.6, 1.0, 0.0])
+    rng = np.random.default_rng(np.random.SeedSequence([7, simulator._STREAM_MEASURE]))
+    expected = rng.multinomial(300, probs / probs.sum())
+    assert np.array_equal(sample_shots_noisy(probs, 300, seed=7), expected)
 
 
 def test_sample_rejects_rotations_outside_the_circuit():
     circ = _native(2, [Gate("ry", (0,), 1.0)])
     wide = _native(3, [Gate("ry", (2,), math.pi / 2)])
     with pytest.raises(ConfigError):
-        sample_shots_noisy(circ, wide, 10, NoiseModel(0, 0, ()), seed=0)
+        noisy_distributions(circ, {"z": wide}, NoiseModel(0, 0, ()))
 
 
 def test_sample_rejects_wrong_readout_count():
     # one matrix for three qubits would leave qubits 1 and 2 unconfused
     circ = _native(3, [Gate("rx", (q,), math.pi) for q in range(3)])
     with pytest.raises(ValueError, match="3 readout matrices"):
-        sample_shots_noisy(circ, None, 10, NoiseModel(0, 0, (flip_matrix(1.0),)), seed=0)
+        noisy_distributions(circ, {}, NoiseModel(0, 0, (flip_matrix(1.0),)))
 
 
 def test_sample_shots_noisy_deterministic():
     circ = _native(2, [Gate("ry", (0,), 1.0), Gate("xx", (0, 1), 0.5)])
     noise = NoiseModel.ion_defaults(2)
-    a = sample_shots_noisy(circ, None, 500, noise, seed=31)
-    b = sample_shots_noisy(circ, None, 500, noise, seed=31)
+    a = sample_shots_noisy(_distribution(circ, noise), 500, seed=31)
+    b = sample_shots_noisy(_distribution(circ, noise), 500, seed=31)
     assert np.array_equal(a, b)
     assert a.sum() == 500
 
@@ -319,6 +383,9 @@ def test_fold_spec_validation():
             FoldSpec(bad)
     assert FoldSpec(3).r == 7
     assert FoldSpec(np.int64(2)).r == 5
+    for bad in ("XX", "rotations", None):
+        with pytest.raises(ConfigError, match="fold scope"):
+            FoldSpec(1, bad)
 
 
 def test_density_memory_guard():
@@ -329,7 +396,7 @@ def test_density_memory_guard():
         with pytest.raises(ValueError, match="memory guard"):
             run_density(circ, NoiseModel(0.1, 0.1))
         with pytest.raises(ValueError, match="memory guard"):
-            sample_shots_noisy(circ, None, 10, NoiseModel(0.1, 0.1), seed=0)
+            _distribution(circ, NoiseModel(0.1, 0.1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -44,6 +44,7 @@ from .simulator import (
     FoldSpec,
     NoiseModel,
     fold_circuit,
+    noisy_distributions,
     run_density,
     sample_shots_noisy,
 )

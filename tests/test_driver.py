@@ -170,8 +170,8 @@ def test_xx_scope_folds_no_rotation():
     native = prepared_native_circuit(cfg, HypersphericalParams(lam))
     for rec in records:
         rotations = basis_rotation_circuit(rec["setting"], 3)
-        joined = NativeCircuit(3, _folded_gates(native, NativeCircuit(3), rec["r"], "xx")
-                               + rotations.gates)
+        folded = fold_circuit(native, FoldSpec((rec["r"] - 1) // 2, "xx"))
+        joined = NativeCircuit(3, folded.gates + rotations.gates)
         probs = simulator.noisy_distributions(joined, {"z": NativeCircuit(3)}, cfg.noise)["z"]
         counts = simulator.sample_shots_noisy(probs, rec["shots"], rec["seed"])
         assert rec["counts"] == histogram_dict(counts)
@@ -327,11 +327,15 @@ def test_seed_ensemble_matches_exact_channel():
     h = build_oscillator_hamiltonian(EftConfig(n))
     pauli = jordan_wigner(h)
     params, _ = optimal_parameters(h)
+    settings = measurement_settings(pauli)
+
+    def z(samples, target):
+        return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(len(samples)))
+
     for scope in FOLD_SCOPES:
         cfg = RunConfig(n_states=n, lambdas=params.lambdas, shots=2000, fold_levels=(0, 1, 2, 3),
                         fold_scope=scope, weighted=False)
         native = prepared_native_circuit(cfg, params)
-        settings = measurement_settings(pauli)
         rs = [2 * m + 1 for m in cfg.fold_levels]
         exact = []
         for r in rs:
@@ -344,10 +348,6 @@ def test_seed_ensemble_matches_exact_channel():
         runs = [zne_energy(replace(cfg, seed=seed), params, h, pauli) for seed in range(64)]
         energies = np.array([[p.value for p in series.points] for series, _ in runs])
         intercepts = np.array([res.intercept for _, res in runs])
-
-        def z(samples, target):
-            return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(len(samples)))
-
         for k, r in enumerate(rs):
             assert abs(z(energies[:, k], exact[k])) <= 4, (scope, r)
         assert abs(z(intercepts, exact_intercept)) <= 4, scope

@@ -50,7 +50,6 @@ from .simulator import (
     DEFAULT_P2,
     DEFAULT_READOUT_FLIP,
     DEFAULT_SHOTS,
-    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     fold_circuit,
@@ -102,7 +101,6 @@ def _run_config(args, lambdas=None) -> RunConfig:
         lambdas=lambdas,
         shots=args.shots,
         fold_levels=_parse_list(args.fold, int),
-        fold_scope=args.fold_scope,
         noise=NoiseModel.ion_defaults(args.n, args.p1, args.p2, args.readout_eps),
         seed=args.seed,
         fit=args.fit,
@@ -184,7 +182,7 @@ def cmd_transpile(args) -> dict[str, Path]:
 def cmd_simulate(args) -> dict[str, Path]:
     native = NativeCircuit.from_json(_read(Path(args.circuit)))
     n = native.n_qubits
-    spec = FoldSpec(args.fold_m, args.fold_scope)
+    spec = FoldSpec(args.fold_m)
     noise = NoiseModel.ion_defaults(n, args.p1, args.p2, args.readout_eps)
     rotations = {args.basis: fold_circuit(basis_rotation_circuit(args.basis, n), spec)}
     probs = noisy_distributions(fold_circuit(native, spec), rotations, noise)[args.basis]
@@ -240,7 +238,6 @@ def cmd_vqe(args) -> dict[str, Path]:
         "energy": result.zne.intercept,
         "sigma": result.zne.intercept_sigma,
         "fit": result.zne.kind,
-        "fold_scope": cfg.fold_scope,
         "seed": args.seed,
         "shots": args.shots,
         "converged": result.converged,
@@ -355,8 +352,6 @@ FLAGS = {
     "readout-eps": dict(type=rate, default=DEFAULT_READOUT_FLIP),
     "fold": dict(default="0,1,2,3", help="comma list of fold levels m"),
     "fold-m": dict(type=int, default=0, help="fold level m of the sampled circuit"),
-    "fold-scope": dict(choices=FOLD_SCOPES, default=FOLD_SCOPES[0],
-                       help="fold every gate (all) or the XX gates only (xx)"),
     "fit": dict(choices=FIT_KINDS, default=DEFAULT_FIT),
     "unweighted": dict(action="store_true"),
     "per-term": dict(action="store_true", help="extrapolate each Hamiltonian term separately"),
@@ -382,8 +377,7 @@ class Command(NamedTuple):
     overrides: dict[str, dict] = {}  # argparse keywords that differ from FLAGS
 
 
-_PIPELINE = ("n hbar-omega v0 seed shots p1 p2 readout-eps fold fold-scope fit unweighted per-term "
-             "lambdas out")
+_PIPELINE = "n hbar-omega v0 seed shots p1 p2 readout-eps fold fit unweighted per-term lambdas out"
 COMMANDS = {
     "ham": Command(cmd_ham, "emit oscillator and qubit Hamiltonians",
                    "n hbar-omega v0 out", "h{n}_artifact.json"),
@@ -393,7 +387,7 @@ COMMANDS = {
                          "circuit optimize emit-counts out",
                          "transpile_artifact.json"),
     "simulate": Command(cmd_simulate, "sample a native circuit",
-                        "circuit basis fold-m fold-scope seed shots p1 p2 readout-eps out",
+                        "circuit basis fold-m seed shots p1 p2 readout-eps out",
                         "simulate_artifact.json",
                         {"circuit": dict(help="native circuit JSON"),
                          "shots": dict(type=_counts_from(1), help="shots, at least 1")}),

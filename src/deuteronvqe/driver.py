@@ -3,9 +3,9 @@
 One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, and read each measurement setting's
 outcome distribution through its weight rows (readout inversion folded into
-the weights, built once per evaluation).  A noisy run folds the circuit and
-each setting's rotations at each requested level in the run's fold scope,
-takes their `simulator.noisy_distributions` (one density walk per level),
+the weights, built once per evaluation).  A noisy run folds every gate of
+the circuit and of each setting's rotations at each requested level, takes
+their `simulator.noisy_distributions` (one density walk per level),
 draws each setting's histogram into one (fold level, setting, outcome)
 count array, and reads that array once (`extrapolate_histograms`) for the
 energy series and its fit to r = 0.  With ``shots = 0`` the unfolded
@@ -76,7 +76,6 @@ from .hamiltonian import (
 from .refdata import EXACT_BINDING_ENERGY, PLATFORM_RESULTS
 from .simulator import (
     DEFAULT_SHOTS,
-    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     fold_circuit,
@@ -104,7 +103,6 @@ class RunConfig:
     lambdas: tuple[float, ...] | None = None  # None -> optimize
     shots: int = DEFAULT_SHOTS                # 0 -> exact expectations
     fold_levels: tuple[int, ...] = (0, 1, 2, 3)
-    fold_scope: str = FOLD_SCOPES[0]
     noise: NoiseModel | None = None
     seed: int = 0
     fit: str = DEFAULT_FIT
@@ -127,7 +125,6 @@ class RunConfig:
             raise ConfigError("fold levels must be a non-empty list")
         for m in self.fold_levels:
             checked("fold level", m, int, ge=0)
-        FoldSpec(0, self.fold_scope)  # checks the scope
         checked("shots", self.shots, int, ge=0)
         checked("seed", self.seed, int, ge=0)
         checked("max_evals", self.max_evals, int, ge=1)
@@ -221,7 +218,7 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     native = prepared_native_circuit(cfg, params)
     # the weight rows read raw counts: readout inversion is folded into them
     settings = measurement_settings(pauli, cfg.noise.readout if cfg.shots else ())
-    specs = [FoldSpec(m, cfg.fold_scope) for m in sorted(set(cfg.fold_levels))]
+    specs = [FoldSpec(m) for m in sorted(set(cfg.fold_levels))]
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
@@ -234,9 +231,8 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
     counts = np.zeros((len(specs), len(settings), 2**native.n_qubits))
     for i, spec in enumerate(specs):
-        probs = noisy_distributions(fold_circuit(native, spec),
-                                    {s.basis: fold_circuit(s.rotations, spec) for s in settings},
-                                    cfg.noise)
+        rotations = {s.basis: fold_circuit(s.rotations, spec) for s in settings}
+        probs = noisy_distributions(fold_circuit(native, spec), rotations, cfg.noise)
         for bidx, setting in enumerate(settings):
             child = _child_seed(cfg.seed, spec.m, bidx)
             hist = sample_shots_noisy(probs[setting.basis], cfg.shots, child)

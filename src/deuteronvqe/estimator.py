@@ -316,7 +316,7 @@ def fit_degree(kind: str, n_points: int) -> int:
     return deg
 
 
-def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
+def richardson_extrapolate(series: ZneSeries, kind: str = DEFAULT_FIT,
                            weighted: bool = True) -> ZneResult:
     """Weighted polynomial fit of an explicit series of value against r,
     evaluated at r = 0.
@@ -335,7 +335,7 @@ def richardson_extrapolate(series: ZneSeries, kind: str = FIT_KINDS[0],
 
 
 def extrapolate_histograms(pauli: PauliHamiltonian, settings: list[MeasurementSetting], rs,
-                           counts, kind: str = FIT_KINDS[0], weighted: bool = True,
+                           counts, kind: str = DEFAULT_FIT, weighted: bool = True,
                            per_term: bool = False) -> tuple[ZneSeries, ZneResult]:
     """Energy series and r = 0 fit of a run's counts[r, setting, outcome],
     one histogram per noise parameter in `rs` and setting in `settings`.

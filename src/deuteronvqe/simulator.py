@@ -9,8 +9,8 @@ confusion matrix.
 
 `run_density` evolves the density matrix through this channel exactly, gate
 by gate, and the test suite holds it against an independent channel oracle.
-`fold_circuit` folds every gate, or the XX gates only, into one new circuit:
-circuits are frozen values, never edited in place.  Both kinds of run read
+`fold_circuit` folds every gate into one new circuit: circuits are frozen
+values, never edited in place.  Both kinds of run read
 {setting: outcome probabilities} indexed by basis state (qubit 0 the most
 significant bit): `noisy_distributions` walks the circuit once with
 `run_density`, then each setting's rotations on vec(rho), through the readout
@@ -86,21 +86,14 @@ def _ion_defaults(n_qubits: int, p1: float, p2: float, readout_eps: float) -> No
     return NoiseModel(p1, p2, (frozen(flip_matrix(readout_eps)),) * n_qubits)
 
 
-FOLD_SCOPES = ("all", "xx")  # every executed gate, or the paper's XX gates only
-
-
 @dataclass(frozen=True)
 class FoldSpec:
-    """Noise amplification level: each folded gate becomes 2m+1 alternating gates."""
+    """Noise amplification level: each gate becomes 2m+1 alternating gates."""
 
     m: int
-    scope: str = FOLD_SCOPES[0]
 
     def __post_init__(self):
         checked("fold level m", self.m, int, ge=0)
-        if self.scope not in FOLD_SCOPES:
-            raise ConfigError(f"fold scope must be one of {', '.join(FOLD_SCOPES)}, "
-                              f"got {self.scope!r}")
 
     @property
     def r(self) -> int:
@@ -108,17 +101,15 @@ class FoldSpec:
 
 
 def fold_circuit(circuit: NativeCircuit, spec: FoldSpec) -> NativeCircuit:
-    """Replace each gate G in the fold scope by the run G (G^dag G)^m, G^dag
-    the same kind at -angle (every native gate is a rotation).
+    """Replace each gate G by the run G (G^dag G)^m, G^dag the same kind at
+    -angle (every native gate is a rotation).
 
-    The ideal unitary is unchanged; the noise exposure of the folded gates
-    scales with r = 2m + 1.  Other gates pass through untouched.
+    The ideal unitary is unchanged; the noise exposure of every gate scales
+    with r = 2m + 1.
     """
     gates = []
     for g in circuit.gates:
-        gates.append(g)
-        if spec.scope == "all" or g.kind == "xx":
-            gates += [Gate(g.kind, g.qubits, -g.angle), g] * spec.m
+        gates += [g] + [Gate(g.kind, g.qubits, -g.angle), g] * spec.m
     return NativeCircuit(circuit.n_qubits, gates)
 
 

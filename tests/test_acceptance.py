@@ -6,7 +6,7 @@ rotations included, and a quadratic fit in r.  The paper's protocol,
 XX-only folding with a linear fit, leaves the rotation noise unamplified,
 an r-independent bias of about 0.85 MeV for the three-state circuit, and
 covers none of the criterion's seeds at the pinned default rates.  The
-analysis, with the exact channel's intercepts for each fold scope and fit,
+analysis, with the exact channel's intercepts for each folding and fit,
 is the exact-channel table under item 1 of ROADMAP.md.
 """
 import math
@@ -251,7 +251,7 @@ def test_criterion_7_property_suites():
         a, b = rng.normal(size=2)
         sig = rng.uniform(0.01, 1.0, size=4)
         series = ZneSeries([ZnePoint(r, a + b * r, float(s)) for r, s in zip((1, 3, 5, 7), sig)])
-        assert abs(richardson_extrapolate(series).intercept - a) < 1e-10
+        assert abs(richardson_extrapolate(series, "linear").intercept - a) < 1e-10
 
     # channel engine vs the independent density oracle on 2 qubits
     circ2 = NativeCircuit(2, [Gate("ry", (0,), 1.19), Gate("xx", (0, 1), 0.76),

@@ -14,7 +14,7 @@ from deuteronvqe.cli import main
 from deuteronvqe.circuits import Gate, LogicalCircuit, NativeCircuit
 from deuteronvqe.estimator import basis_rotation_circuit, histogram_dict
 from deuteronvqe.hamiltonian import EftConfig, build_oscillator_hamiltonian, exact_ground_energy
-from deuteronvqe.simulator import (FOLD_SCOPES, FoldSpec, NoiseModel, fold_circuit,
+from deuteronvqe.simulator import (FoldSpec, NoiseModel, fold_circuit,
                                    noisy_distributions, sample_shots_noisy)
 
 
@@ -319,29 +319,24 @@ def test_simulate_counts_roundtrip(tmp_path):
     assert sum(doc["counts"].values()) == 400
 
 
-def test_fold_scope_flag(tmp_path, capsys):
-    # --fold-scope sets what vqe and simulate fold, and a vqe summary names it
+def test_simulate_folds_every_gate(tmp_path, capsys):
+    # simulate folds the circuit and the setting's rotations alike, and vqe
+    # fits a quadratic by default
     run_cli("ansatz", "--n", "2", "--lambdas", "0.59", "--out", str(tmp_path))
     run_cli("transpile", "--circuit", str(tmp_path / "c2_logical.json"), "--out", str(tmp_path))
     path = tmp_path / "native_circuit.json"
     native = NativeCircuit.from_json(path.read_text())
-    counts = {}
-    for scope in FOLD_SCOPES:
-        out = tmp_path / scope
-        assert run_cli("vqe", "--n", "2", "--lambdas", "0.59", "--shots", "100",
-                       "--fold-scope", scope, "--out", str(out)) == 0
-        summary = json.loads((out / "vqe_n2_summary.json").read_text())
-        assert (summary["fold_scope"], summary["fit"]) == (scope, "quadratic")
-        assert run_cli("simulate", "--circuit", str(path), "--basis", "x", "--fold-m", "2",
-                       "--fold-scope", scope, "--shots", "500", "--seed", "5",
-                       "--out", str(out)) == 0
-        spec = FoldSpec(2, scope)
-        rotations = {"x": fold_circuit(basis_rotation_circuit("x", 2), spec)}
-        probs = noisy_distributions(fold_circuit(native, spec), rotations,
-                                    NoiseModel.ion_defaults(2))["x"]
-        counts[scope] = json.loads((out / "counts_x_r5.json").read_text())["counts"]
-        assert counts[scope] == histogram_dict(sample_shots_noisy(probs, 500, 5))
-    assert counts["all"] != counts["xx"]
+    assert run_cli("vqe", "--n", "2", "--lambdas", "0.59", "--shots", "100",
+                   "--out", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "vqe_n2_summary.json").read_text())["fit"] == "quadratic"
+    assert run_cli("simulate", "--circuit", str(path), "--basis", "x", "--fold-m", "2",
+                   "--shots", "500", "--seed", "5", "--out", str(tmp_path)) == 0
+    spec = FoldSpec(2)
+    rotations = {"x": fold_circuit(basis_rotation_circuit("x", 2), spec)}
+    probs = noisy_distributions(fold_circuit(native, spec), rotations,
+                                NoiseModel.ion_defaults(2))["x"]
+    counts = json.loads((tmp_path / "counts_x_r5.json").read_text())["counts"]
+    assert counts == histogram_dict(sample_shots_noisy(probs, 500, 5))
 
 
 def test_vqe_exact_cli(tmp_path, capsys):
@@ -572,7 +567,6 @@ def test_artifact_config_replays_bit_exactly(tmp_path):
     ("simulate", {"basis": "w"}),
     ("vqe", {"unweighted": "yes"}),
     ("vqe", {"per_term": 1}),
-    ("vqe", {"fold_scope": "XX"}),
 ])
 def test_ill_typed_config_value_is_usage_error(tmp_path, command, values):
     # config values parse as the flags they name, so argparse rejects them

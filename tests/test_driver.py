@@ -35,7 +35,7 @@ from deuteronvqe.refdata import (
     LANDSCAPE_FIT_MINIMA,
     landscape_column,
 )
-from deuteronvqe.simulator import FOLD_SCOPES, FoldSpec, NoiseModel, fold_circuit, run_density
+from deuteronvqe.simulator import FoldSpec, NoiseModel, fold_circuit, run_density
 
 
 def test_run_config_validation():
@@ -77,10 +77,6 @@ def test_run_config_validation():
     # numpy integers are integers
     assert RunConfig(n_states=np.int64(3), shots=np.int64(5), fit="linear",
                      fold_levels=(np.int32(0), np.int32(1))).shots == 5
-    # a fold scope is one of the named scopes; every gate is folded by default
-    with pytest.raises(ConfigError, match="fold scope"):
-        RunConfig(n_states=3, fold_scope="rotations")
-    assert RunConfig(n_states=3).fold_scope == FOLD_SCOPES[0] == "all"
     cfg = RunConfig(n_states=3)
     assert cfg.noise.p2 == 0.0075
     # the default model is one shared constant, not one per configuration
@@ -152,26 +148,23 @@ def test_one_density_walk_per_fold_level(monkeypatch):
 
     monkeypatch.setattr(simulator, "run_density", counted)
     lam = (0.76, 0.70)
-    for scope in FOLD_SCOPES:
-        walks.clear()
-        cfg = RunConfig(n_states=3, lambdas=lam, shots=300, fold_scope=scope)
-        native = prepared_native_circuit(cfg, HypersphericalParams(lam))
-        zne_energy(cfg, HypersphericalParams(lam))
-        assert walks == [fold_circuit(native, FoldSpec(m, scope)) for m in cfg.fold_levels]
+    cfg = RunConfig(n_states=3, lambdas=lam, shots=300)
+    native = prepared_native_circuit(cfg, HypersphericalParams(lam))
+    zne_energy(cfg, HypersphericalParams(lam))
+    assert walks == [fold_circuit(native, FoldSpec(m)) for m in cfg.fold_levels]
 
 
-def test_xx_scope_folds_no_rotation():
-    # in scope "xx" each setting's rotations run unfolded, so its draws are those of
-    # the unfolded rotations after the XX-folded circuit
+def test_each_setting_draws_its_folded_rotations():
+    # each setting's draws are those of its rotations, folded like the circuit,
+    # run after the folded circuit as one joined circuit
     lam = (0.76, 0.70)
-    cfg = RunConfig(n_states=3, lambdas=lam, shots=300, seed=4, fold_scope="xx")
+    cfg = RunConfig(n_states=3, lambdas=lam, shots=300, seed=4)
     records = []
     zne_energy(cfg, HypersphericalParams(lam), count_records=records)
     native = prepared_native_circuit(cfg, HypersphericalParams(lam))
     for rec in records:
-        rotations = basis_rotation_circuit(rec["setting"], 3)
-        folded = fold_circuit(native, FoldSpec((rec["r"] - 1) // 2, "xx"))
-        joined = NativeCircuit(3, folded.gates + rotations.gates)
+        joined = NativeCircuit(3, _folded_gates(native, basis_rotation_circuit(rec["setting"], 3),
+                                                rec["r"]))
         probs = simulator.noisy_distributions(joined, {"z": NativeCircuit(3)}, cfg.noise)["z"]
         counts = simulator.sample_shots_noisy(probs, rec["shots"], rec["seed"])
         assert rec["counts"] == histogram_dict(counts)
@@ -309,7 +302,7 @@ def test_vqe_noisy_xx_only_covers_truth():
     # recovers the exact energy within its quoted uncertainty band
     noise = NoiseModel.ion_defaults(3, p1=0.0)
     cfg = RunConfig(n_states=3, lambdas=(0.7609, 0.7044), shots=10_000,
-                    noise=noise, seed=42)
+                    noise=noise, seed=42, fit="linear")
     result = vqe_run(cfg)
     assert abs(result.zne.intercept - (-2.0457)) <= 3 * result.zne.intercept_sigma
     m0 = result.trace[0].series[0]
@@ -321,36 +314,34 @@ def test_seed_ensemble_matches_exact_channel():
     # oracle: each fold level's energy from the exact channel, diag(rho) of every
     # setting, its folded rotations included, fed to the same estimator and fitted
     # with the configuration's degree; readout is left out, as SPAM inversion undoes
-    # it on average.  In each fold scope the mean over seeds must lie within
-    # 4 sigma/sqrt(N).
+    # it on average.  The mean over seeds must lie within 4 sigma/sqrt(N).
     n = 3
     h = build_oscillator_hamiltonian(EftConfig(n))
     pauli = jordan_wigner(h)
     params, _ = optimal_parameters(h)
+    cfg = RunConfig(n_states=n, lambdas=params.lambdas, shots=2000, fold_levels=(0, 1, 2, 3),
+                    weighted=False)
+    native = prepared_native_circuit(cfg, params)
     settings = measurement_settings(pauli)
+    rs = [2 * m + 1 for m in cfg.fold_levels]
+    exact = []
+    for r in rs:
+        probs = {s.basis: np.diagonal(run_density(NativeCircuit(n, _folded_gates(
+                     native, basis_rotation_circuit(s.basis, n), r)), cfg.noise)).real
+                 for s in settings}
+        exact.append(energy_estimate(pauli, probs, settings)[0])
+    exact_intercept = np.polyfit(rs, exact, fit_degree(cfg.fit, len(rs)))[-1]
+
+    runs = [zne_energy(replace(cfg, seed=seed), params, h, pauli) for seed in range(64)]
+    energies = np.array([[p.value for p in series.points] for series, _ in runs])
+    intercepts = np.array([res.intercept for _, res in runs])
 
     def z(samples, target):
         return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(len(samples)))
 
-    for scope in FOLD_SCOPES:
-        cfg = RunConfig(n_states=n, lambdas=params.lambdas, shots=2000, fold_levels=(0, 1, 2, 3),
-                        fold_scope=scope, weighted=False)
-        native = prepared_native_circuit(cfg, params)
-        rs = [2 * m + 1 for m in cfg.fold_levels]
-        exact = []
-        for r in rs:
-            probs = {s.basis: np.diagonal(run_density(NativeCircuit(n, _folded_gates(
-                         native, basis_rotation_circuit(s.basis, n), r, scope)), cfg.noise)).real
-                     for s in settings}
-            exact.append(energy_estimate(pauli, probs, settings)[0])
-        exact_intercept = np.polyfit(rs, exact, fit_degree(cfg.fit, len(rs)))[-1]
-
-        runs = [zne_energy(replace(cfg, seed=seed), params, h, pauli) for seed in range(64)]
-        energies = np.array([[p.value for p in series.points] for series, _ in runs])
-        intercepts = np.array([res.intercept for _, res in runs])
-        for k, r in enumerate(rs):
-            assert abs(z(energies[:, k], exact[k])) <= 4, (scope, r)
-        assert abs(z(intercepts, exact_intercept)) <= 4, scope
+    for k, r in enumerate(rs):
+        assert abs(z(energies[:, k], exact[k])) <= 4, r
+    assert abs(z(intercepts, exact_intercept)) <= 4
 
 
 def _observed(gates, n, noise):
@@ -360,9 +351,9 @@ def _observed(gates, n, noise):
     return observed / observed.sum()
 
 
-def _folded_gates(native, rotations, r, scope):
+def _folded_gates(native, rotations, r):
     """Gates of the circuit then the rotations, both folded to noise parameter r."""
-    spec = FoldSpec((r - 1) // 2, scope)
+    spec = FoldSpec((r - 1) // 2)
     return fold_circuit(native, spec).gates + fold_circuit(rotations, spec).gates
 
 
@@ -401,7 +392,7 @@ def test_sigma_is_the_exact_multinomial_sd(monkeypatch, n):
 
     settings = measurement_settings(pauli)
     observed = {(r, s.basis): _observed(_folded_gates(native, basis_rotation_circuit(s.basis, n),
-                                                      r, cfg.fold_scope), n, cfg.noise)
+                                                      r), n, cfg.noise)
                 for r in rs for s in settings}
     energy_rows = [inverse @ sum(c * _z_signs(w) for c, w in s.terms) for s in settings]
     for point in series.points:
@@ -506,8 +497,8 @@ def test_unweighted_sigma_is_the_exact_sd(monkeypatch, n, fit):
     for s in measurement_settings(pauli):
         g = inverse @ sum(c * _z_signs(w) for c, w in s.terms)
         for r, a_r in zip(rs, a):
-            p = _observed(_folded_gates(native, basis_rotation_circuit(s.basis, n), r,
-                                        cfg.fold_scope), n, cfg.noise)
+            p = _observed(_folded_gates(native, basis_rotation_circuit(s.basis, n), r),
+                          n, cfg.noise)
             variance += a_r * a_r * (g @ (np.diag(p) - np.outer(p, p)) @ g) / cfg.shots
     exact = math.sqrt(variance)
     for res in (plain, per_term):

@@ -284,7 +284,7 @@ def test_energy_estimate_missing_setting(pauli_h2):
 
 def test_richardson_exact_line():
     series = ZneSeries([ZnePoint(1, -2.0, 0.1), ZnePoint(3, -1.0, 0.1), ZnePoint(5, 0.0, 0.1)])
-    res = richardson_extrapolate(series)
+    res = richardson_extrapolate(series, "linear")
     assert res.intercept == pytest.approx(-2.5, abs=1e-10)
     assert res.slope == pytest.approx(0.5, abs=1e-10)
     assert res.weighted
@@ -305,17 +305,17 @@ def test_weighted_fit_passes_through_a_point_of_tiny_sigma(sigma):
 
 def test_richardson_constant_series():
     series = ZneSeries([ZnePoint(r, -2.046, 0.05) for r in (1, 3, 5, 7)])
-    res = richardson_extrapolate(series)
+    res = richardson_extrapolate(series, "linear")
     assert res.intercept == pytest.approx(-2.046, abs=1e-12)
     assert res.slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_richardson_affine_equivariance():
     pts = [(1, -2.0, 0.1), (3, -1.2, 0.2), (5, 0.3, 0.15), (7, 1.0, 0.3)]
-    base = richardson_extrapolate(ZneSeries([ZnePoint(*p) for p in pts]))
+    base = richardson_extrapolate(ZneSeries([ZnePoint(*p) for p in pts]), "linear")
     for s in (2.0, -3.0, 0.5):
         scaled = richardson_extrapolate(
-            ZneSeries([ZnePoint(r, s * v, abs(s) * sg) for r, v, sg in pts])
+            ZneSeries([ZnePoint(r, s * v, abs(s) * sg) for r, v, sg in pts]), "linear"
         )
         assert scaled.intercept == pytest.approx(s * base.intercept, rel=1e-10)
         assert scaled.intercept_sigma == pytest.approx(abs(s) * base.intercept_sigma, rel=1e-10)
@@ -328,19 +328,19 @@ def test_richardson_exact_on_affine_data_any_weights():
         rs = (1, 3, 5, 7, 9)
         sigmas = rng.uniform(0.01, 2.0, size=len(rs))
         series = ZneSeries([ZnePoint(r, a + b * r, float(s)) for r, s in zip(rs, sigmas)])
-        res = richardson_extrapolate(series)
+        res = richardson_extrapolate(series, "linear")
         assert res.intercept == pytest.approx(a, abs=1e-10)
 
 
 def test_richardson_two_points_linear():
     series = ZneSeries([ZnePoint(1, 1.0, 0.1), ZnePoint(3, 2.0, 0.1)])
-    res = richardson_extrapolate(series)
+    res = richardson_extrapolate(series, "linear")
     assert res.intercept == pytest.approx(0.5, abs=1e-12)
 
 
 def test_richardson_zero_sigma_falls_back_unweighted():
     series = ZneSeries([ZnePoint(1, 1.0, 0.0), ZnePoint(3, 2.0, 0.0), ZnePoint(5, 3.0, 0.0)])
-    res = richardson_extrapolate(series)
+    res = richardson_extrapolate(series, "linear")
     assert not res.weighted
     assert res.intercept == pytest.approx(0.5, abs=1e-12)
 
@@ -354,7 +354,7 @@ def test_richardson_quadratic():
 
 def test_richardson_underdetermined():
     with pytest.raises(ValueError):
-        richardson_extrapolate(ZneSeries([ZnePoint(1, 1.0, 0.1)]))
+        richardson_extrapolate(ZneSeries([ZnePoint(1, 1.0, 0.1)]), "linear")
     with pytest.raises(ValueError):
         richardson_extrapolate(
             ZneSeries([ZnePoint(1, 1.0, 0.1), ZnePoint(3, 2.0, 0.1)]), kind="quadratic"
@@ -405,7 +405,7 @@ def test_richardson_recovers_truth_on_synthetic_series():
             ZnePoint(r, truth + slope * r + rng.normal(0, sigma), sigma)
             for r in (1, 3, 5, 7)
         ]
-        res = richardson_extrapolate(ZneSeries(pts))
+        res = richardson_extrapolate(ZneSeries(pts), "linear")
         hits += abs(res.intercept - truth) <= 3 * res.intercept_sigma
     assert hits >= 195
 
@@ -476,19 +476,19 @@ def test_level_without_spread_is_fitted_without_weights(n, flip, level, per_term
     rng = np.random.default_rng(7)
     counts = np.array([level, *rng.integers(1, 10, size=(2, len(settings), 2**n))])
     series, result = extrapolate_histograms(pauli, settings, [1, 3, 5], counts,
-                                            per_term=per_term)
+                                            "linear", per_term=per_term)
     assert series.points[0].sigma == 0.0
     assert all(p.sigma > 0 for p in series.points[1:])
     assert not result.weighted
     assert result.intercept == pytest.approx(
-        richardson_extrapolate(series, weighted=False).intercept, abs=1e-12)
+        richardson_extrapolate(series, "linear", weighted=False).intercept, abs=1e-12)
 
 
 def test_extrapolate_histograms_needs_one_histogram_set_per_r(pauli_h2):
     settings = measurement_settings(pauli_h2)
     level = [[3, 1, 0, 2]] * len(settings)
     with pytest.raises(ValueError):
-        extrapolate_histograms(pauli_h2, settings, [1, 3, 5], np.array([level, level]))
+        extrapolate_histograms(pauli_h2, settings, [1, 3, 5], np.array([level, level]), "linear")
 
 
 def test_basis_rotation_circuits():

@@ -16,7 +16,6 @@ from deuteronvqe.circuits import PAULI, ConfigError, Gate, NativeCircuit
 from deuteronvqe.compiler import optimize_native, transpile
 from deuteronvqe.estimator import BASIS_LABELS, apply_confusion, basis_rotation_circuit, histogram_dict
 from deuteronvqe.simulator import (
-    FOLD_SCOPES,
     FoldSpec,
     NoiseModel,
     flip_matrix,
@@ -93,21 +92,13 @@ def test_fold_alternating_signs():
     assert angles == [0.3, -0.3, 0.3, -0.3, 0.3]
 
 
-def test_fold_scope_all_folds_every_gate():
-    # scope "all" maps each gate G to G (G^dag G)^m, G^dag the same kind at -angle;
-    # scope "xx" folds the XX gates only, so rotation circuits pass through it
+def test_fold_every_gate():
+    # each gate G becomes G (G^dag G)^m, G^dag the same kind at -angle
     circ = _native(2, [Gate("rx", (0,), 0.2), Gate("xx", (0, 1), 0.3), Gate("rz", (1,), -0.7)])
-    folded = fold_circuit(circ, FoldSpec(1, "all"))
+    folded = fold_circuit(circ, FoldSpec(1))
     assert [(g.kind, g.angle) for g in folded.gates] == [
         ("rx", 0.2), ("rx", -0.2), ("rx", 0.2), ("xx", 0.3), ("xx", -0.3), ("xx", 0.3),
         ("rz", -0.7), ("rz", 0.7), ("rz", -0.7)]
-    assert [g.angle for g in fold_circuit(circ, FoldSpec(1, "xx")).gates] == [
-        0.2, 0.3, -0.3, 0.3, -0.7]
-    assert FoldSpec(1).scope == FOLD_SCOPES[0] == "all"
-    for basis in BASIS_LABELS:
-        rotations = basis_rotation_circuit(basis, 3)
-        assert fold_circuit(rotations, FoldSpec(3, "xx")) == rotations
-        assert len(fold_circuit(rotations, FoldSpec(3, "all")).gates) == 7 * len(rotations.gates)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
@@ -279,14 +270,14 @@ def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
 
 
 @settings(max_examples=30)
-@given(native_circuits(max_qubits=3, max_gates=8), st.integers(0, 2), st.sampled_from(FOLD_SCOPES),
+@given(native_circuits(max_qubits=3, max_gates=8), st.integers(0, 2),
        st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.0, 0.3))
-def test_noisy_distributions_match_channel_oracle(circ, m, scope, p1, p2, eps):
+def test_noisy_distributions_match_channel_oracle(circ, m, p1, p2, eps):
     # each setting's distribution is the diagonal of the independent channel
     # oracle on the joined circuit, folded circuit then folded rotations,
     # pushed through the full readout matrix
     n = circ.n_qubits
-    spec = FoldSpec(m, scope)
+    spec = FoldSpec(m)
     noise = NoiseModel.ion_defaults(n, p1, p2, eps)
     folded = fold_circuit(circ, spec)
     rotations = {b: fold_circuit(basis_rotation_circuit(b, n), spec) for b in BASIS_LABELS}
@@ -383,9 +374,6 @@ def test_fold_spec_validation():
             FoldSpec(bad)
     assert FoldSpec(3).r == 7
     assert FoldSpec(np.int64(2)).r == 5
-    for bad in ("XX", "rotations", None):
-        with pytest.raises(ConfigError, match="fold scope"):
-            FoldSpec(1, bad)
 
 
 def test_density_memory_guard():

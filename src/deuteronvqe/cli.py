@@ -35,8 +35,8 @@ from .ansatz import (
 from .circuits import ConfigError, LogicalCircuit, NativeCircuit, checked
 from .compiler import gate_identity_report, optimize_native, transpile, unitary_equivalent, unitary_of
 from .driver import RunConfig, ScanSpec, convergence_report, landscape_scan, vqe_run
-from .estimator import (BASIS_LABELS, DEFAULT_FIT, FIT_KINDS, ZnePoint, ZneSeries,
-                        basis_rotation_circuit, histogram_dict, richardson_extrapolate)
+from .estimator import (BASIS_LABELS, DEFAULT_FIT, FIT_KINDS, ZnePoint, ZneSeries, histogram_dict,
+                        richardson_extrapolate)
 from .hamiltonian import (
     DEFAULT_HBAR_OMEGA,
     DEFAULT_V0,
@@ -52,7 +52,6 @@ from .simulator import (
     DEFAULT_SHOTS,
     FoldSpec,
     NoiseModel,
-    fold_circuit,
     noisy_distributions,
     sample_shots_noisy,
 )
@@ -181,11 +180,9 @@ def cmd_transpile(args) -> dict[str, Path]:
 
 def cmd_simulate(args) -> dict[str, Path]:
     native = NativeCircuit.from_json(_read(Path(args.circuit)))
-    n = native.n_qubits
     spec = FoldSpec(args.fold_m)
-    noise = NoiseModel.ion_defaults(n, args.p1, args.p2, args.readout_eps)
-    rotations = {args.basis: fold_circuit(basis_rotation_circuit(args.basis, n), spec)}
-    probs = noisy_distributions(fold_circuit(native, spec), rotations, noise)[args.basis]
+    noise = NoiseModel.ion_defaults(native.n_qubits, args.p1, args.p2, args.readout_eps)
+    probs = noisy_distributions(native, [args.basis], noise, spec)[args.basis]
     counts = sample_shots_noisy(probs, args.shots, args.seed)
     record = {"shots": args.shots, "counts": histogram_dict(counts), "seed": args.seed, "r": spec.r}
     out = Path(args.out)

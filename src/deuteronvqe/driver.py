@@ -3,14 +3,14 @@
 One evaluation of the pipeline at fixed parameters means: build the ansatz
 circuit, lower it to native gates, and read each measurement setting's
 outcome distribution through its weight rows (readout inversion folded into
-the weights, built once per evaluation).  A noisy run folds every gate of
-the circuit and of each setting's rotations at each requested level, takes
-their `simulator.noisy_distributions` (one density walk per level),
-draws each setting's histogram into one (fold level, setting, outcome)
-count array, and reads that array once (`extrapolate_histograms`) for the
-energy series and its fit to r = 0.  With ``shots = 0`` the unfolded
-circuit's `simulator.ideal_distributions` stand in for the histograms, and
-the pipeline reproduces the analytic ansatz energy.
+the weights, built once per evaluation).  A noisy run hands the unfolded
+circuit and the settings' basis labels to `simulator.noisy_distributions`
+at each requested level, which folds every gate, measurement rotations
+included (one density walk per level); it draws each setting's histogram
+into one (fold level, setting, outcome) count array, and reads that array
+once (`extrapolate_histograms`) for the energy series and its fit to r = 0.
+With ``shots = 0`` the circuit's `simulator.ideal_distributions` stand in
+for the histograms, and one point at r = 1 reproduces the analytic energy.
 
 Seed discipline: each (fold level, measurement basis) pair gets an
 independent child seed derived as SeedSequence([seed, m, basis_index]), so
@@ -78,7 +78,6 @@ from .simulator import (
     DEFAULT_SHOTS,
     FoldSpec,
     NoiseModel,
-    fold_circuit,
     ideal_distributions,
     noisy_distributions,
     sample_shots_noisy,
@@ -169,6 +168,7 @@ class VqeRunResult:
 
 
 _REPORT_TAG = 0x7270  # tags the stream of a search's reported evaluation
+_SCAN_TAG = 104729  # tags the streams of a landscape scan's rows
 
 
 def _child_seed(seed: int, m: int, basis_index: int) -> int:
@@ -218,21 +218,20 @@ def zne_energy(cfg: RunConfig, params: HypersphericalParams,
     native = prepared_native_circuit(cfg, params)
     # the weight rows read raw counts: readout inversion is folded into them
     settings = measurement_settings(pauli, cfg.noise.readout if cfg.shots else ())
-    specs = [FoldSpec(m) for m in sorted(set(cfg.fold_levels))]
+    bases = [s.basis for s in settings]
 
     if cfg.shots == 0:
         # the exact outcome distribution of each setting stands in for its histogram
-        rotations = {s.basis: s.rotations for s in settings}
-        energy, _ = energy_estimate(pauli, ideal_distributions(native, rotations), settings)
-        # the ideal state does not depend on the fold level: nothing to extrapolate
-        series = ZneSeries([ZnePoint(spec.r, energy, 0.0) for spec in specs])
+        energy, _ = energy_estimate(pauli, ideal_distributions(native, bases), settings)
+        # the ideal state does not depend on the fold level: one point, nothing to extrapolate
+        series = ZneSeries([ZnePoint(1, energy, 0.0)])
         return series, ZneResult(energy, 0.0, 0.0, cfg.fit, weighted=False)
 
+    specs = [FoldSpec(m) for m in sorted(set(cfg.fold_levels))]
     lambdas = list(params.lambdas)  # shared by this evaluation's count records
     counts = np.zeros((len(specs), len(settings), 2**native.n_qubits))
     for i, spec in enumerate(specs):
-        rotations = {s.basis: fold_circuit(s.rotations, spec) for s in settings}
-        probs = noisy_distributions(fold_circuit(native, spec), rotations, cfg.noise)
+        probs = noisy_distributions(native, bases, cfg.noise, spec)
         for bidx, setting in enumerate(settings):
             child = _child_seed(cfg.seed, spec.m, bidx)
             hist = sample_shots_noisy(probs[setting.basis], cfg.shots, child)
@@ -375,9 +374,8 @@ def landscape_scan(cfg: RunConfig, spec: ScanSpec) -> list[ScanRow]:
     for i, value in enumerate(spec.values):
         lambdas = spec.row_params(value)
         params = HypersphericalParams(lambdas)
-        # distinct, replayable shot streams per row (104729 tags the scan stream);
-        # the new config checks the angle count
-        row_cfg = replace(cfg, lambdas=lambdas, seed=_child_seed(cfg.seed, 104729, i))
+        # distinct, replayable shot streams per row; the new config checks the angle count
+        row_cfg = replace(cfg, lambdas=lambdas, seed=_child_seed(cfg.seed, _SCAN_TAG, i))
         _, result = zne_energy(row_cfg, params)
         rows.append(ScanRow(lambdas, result, energy_expectation_exact(params, h)))
     return rows

@@ -1,8 +1,8 @@
 """From shot histograms to energies: grouping, readout inversion, extrapolation.
 
 The qubit Hamiltonians produced here contain only Z words, adjacent XX pairs
-and adjacent YY pairs, so three measurement settings (all-Z, all-X, all-Y)
-cover every term with qubit-wise commuting groups.
+and adjacent YY pairs, so three measurement settings (all-Z, all-X, all-Y),
+named by basis label, cover every term with qubit-wise commuting groups.
 
 Every estimate is a linear functional of a histogram q of N shots, with
 frequencies p = q/N: a weight row w gives the mean w.p and the plug-in
@@ -62,13 +62,12 @@ _SINGULAR_DET = 1e-12
 class MeasurementSetting:
     """One measurement basis, the Hamiltonian terms it covers and their weights.
 
-    `rotations` maps the basis onto Z, built once per setting.  `rows[k]` is
-    the weight row of term k on this setting's raw counts and `weights` the
+    It holds no circuit: the simulator builds the basis's rotations.  `rows[k]`
+    is the weight row of term k on this setting's raw counts and `weights` the
     energy row, sum_k c_k rows[k]; both read-only.
     """
 
     basis: str
-    rotations: NativeCircuit
     terms: tuple[tuple[float, str], ...]
     rows: np.ndarray
     weights: np.ndarray
@@ -133,8 +132,7 @@ def measurement_settings(h: PauliHamiltonian, readout=()) -> list[MeasurementSet
         if grouped[b]:
             coeffs, words = zip(*grouped[b])
             rows = weight_rows(words, readout)
-            settings.append(MeasurementSetting(b, basis_rotation_circuit(b, h.n_qubits),
-                                               tuple(grouped[b]), rows,
+            settings.append(MeasurementSetting(b, tuple(grouped[b]), rows,
                                                frozen(np.asarray(coeffs) @ rows)))
     return settings
 

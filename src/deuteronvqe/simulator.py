@@ -10,14 +10,16 @@ confusion matrix.
 `run_density` evolves the density matrix through this channel exactly, gate
 by gate, and the test suite holds it against an independent channel oracle.
 `fold_circuit` folds every gate into one new circuit: circuits are frozen
-values, never edited in place.  Both kinds of run read
-{setting: outcome probabilities} indexed by basis state (qubit 0 the most
-significant bit): `noisy_distributions` walks the circuit once with
-`run_density`, then each setting's rotations on vec(rho), through the readout
-matrices; `ideal_distributions` walks it noise-free with `Circuit.apply`,
-whose gate matrices `run_density` takes from the same table.
-`sample_shots_noisy`, the one sampler, draws a distribution's shots as one
-multinomial draw: the int count vector that the estimator consumes.
+values, never edited in place.  Both kinds of run take basis labels and
+return {basis: outcome probabilities} indexed by basis state (qubit 0 the
+most significant bit): `noisy_distributions` folds the circuit and each
+basis's rotations at one `FoldSpec` (the package's one fold), walks the
+folded circuit once with `run_density`, then each basis's folded rotations
+on vec(rho), through the readout matrices; `ideal_distributions` walks it
+noise-free with `Circuit.apply`, whose gate matrices `run_density` takes from
+the same table.  `sample_shots_noisy`, the one sampler, draws a
+distribution's shots as one multinomial draw: the int count vector that the
+estimator consumes.
 
 Reproducibility: every histogram takes an explicit seed and draws from
 `numpy.random.SeedSequence([seed, tag])`, so it replays bit-exactly.
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import ConfigError, Gate, NativeCircuit, apply_matrix, checked, frozen
-from .estimator import apply_confusion
+from .estimator import apply_confusion, basis_rotation_circuit
 
 # stream tag that keeps the measurement draw apart from other uses of the seed
 _STREAM_MEASURE = 0x6D65
@@ -153,30 +155,30 @@ def _evolve(vec: np.ndarray, circuit: NativeCircuit, gates, noise: NoiseModel) -
     return vec
 
 
-def ideal_distributions(circuit: NativeCircuit, rotations: dict) -> dict[str, np.ndarray]:
-    """Noise-free outcome probabilities of `circuit` then each named rotation
-    circuit; `circuit` is walked once."""
-    state = circuit.apply(np.eye(1, 2**circuit.n_qubits, dtype=complex)[0])  # from |0...0>
-    return {name: np.abs(r.apply(state)) ** 2 for name, r in rotations.items()}
+def ideal_distributions(circuit: NativeCircuit, bases) -> dict[str, np.ndarray]:
+    """Noise-free outcome probabilities of `circuit` measured in each named
+    basis; `circuit` is walked once."""
+    n = circuit.n_qubits
+    state = circuit.apply(np.eye(1, 2**n, dtype=complex)[0])  # from |0...0>
+    return {b: np.abs(basis_rotation_circuit(b, n).apply(state)) ** 2 for b in bases}
 
 
-def noisy_distributions(circuit: NativeCircuit, rotations: dict,
-                        noise: NoiseModel) -> dict[str, np.ndarray]:
-    """Outcome probabilities under `noise` of `circuit` then each named rotation
-    circuit, its gates noisy too, through the readout matrices; `circuit` is walked once."""
+def noisy_distributions(circuit: NativeCircuit, bases, noise: NoiseModel,
+                        spec: FoldSpec) -> dict[str, np.ndarray]:
+    """Outcome probabilities under `noise` of `circuit` measured in each named
+    basis, the circuit and each basis's rotations folded at `spec`, through the
+    readout matrices; the folded circuit is walked once."""
     n = circuit.n_qubits
     if noise.readout and len(noise.readout) != n:
-        raise ValueError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
-    if any(g.kind not in circuit.GATES or max(g.qubits) >= n
-           for r in rotations.values() for g in r.gates):
-        raise ConfigError(f"basis rotations must be native gates on qubits below {n}")
-    vec = run_density(circuit, noise).ravel()
+        raise ConfigError(f"{n} qubits need {n} readout matrices, got {len(noise.readout)}")
+    folded = fold_circuit(circuit, spec)
+    vec = run_density(folded, noise).ravel()
     out = {}
-    for name, r in rotations.items():
-        # rounding can leave diagonal entries of order -1e-17
-        probs = np.clip(np.diagonal(_evolve(vec, circuit, r.gates, noise).reshape(2**n, 2**n)).real,
-                        0.0, None)
-        out[name] = apply_confusion(probs, noise.readout) if noise.readout else probs
+    for b in bases:
+        rotations = fold_circuit(basis_rotation_circuit(b, n), spec).gates
+        rho = _evolve(vec, folded, rotations, noise).reshape(2**n, 2**n)
+        probs = np.clip(np.diagonal(rho).real, 0.0, None)  # rounding can leave -1e-17 entries
+        out[b] = apply_confusion(probs, noise.readout) if noise.readout else probs
     return out
 
 

@@ -332,9 +332,9 @@ def test_simulate_folds_every_gate(tmp_path, capsys):
     assert run_cli("simulate", "--circuit", str(path), "--basis", "x", "--fold-m", "2",
                    "--shots", "500", "--seed", "5", "--out", str(tmp_path)) == 0
     spec = FoldSpec(2)
-    rotations = {"x": fold_circuit(basis_rotation_circuit("x", 2), spec)}
-    probs = noisy_distributions(fold_circuit(native, spec), rotations,
-                                NoiseModel.ion_defaults(2))["x"]
+    joined = NativeCircuit(2, fold_circuit(native, spec).gates
+                           + fold_circuit(basis_rotation_circuit("x", 2), spec).gates)
+    probs = noisy_distributions(joined, ["z"], NoiseModel.ion_defaults(2), FoldSpec(0))["z"]
     counts = json.loads((tmp_path / "counts_x_r5.json").read_text())["counts"]
     assert counts == histogram_dict(sample_shots_noisy(probs, 500, 5))
 

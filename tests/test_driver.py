@@ -100,7 +100,7 @@ def test_zne_exact_mode_has_nothing_to_extrapolate(h3, fit, folds):
     cfg = RunConfig(n_states=3, lambdas=lam, shots=0, fit=fit, fold_levels=folds)
     series, res = zne_energy(cfg, HypersphericalParams(lam))
     energy = series.points[0].value
-    assert [p.r for p in series.points] == [2 * m + 1 for m in folds]
+    assert [p.r for p in series.points] == [1]  # one point, whatever the fold levels
     assert all(p.value == energy and p.sigma == 0.0 for p in series.points)
     assert res == ZneResult(energy, 0.0, 0.0, fit, weighted=False)
 
@@ -165,7 +165,7 @@ def test_each_setting_draws_its_folded_rotations():
     for rec in records:
         joined = NativeCircuit(3, _folded_gates(native, basis_rotation_circuit(rec["setting"], 3),
                                                 rec["r"]))
-        probs = simulator.noisy_distributions(joined, {"z": NativeCircuit(3)}, cfg.noise)["z"]
+        probs = simulator.noisy_distributions(joined, ["z"], cfg.noise, FoldSpec(0))["z"]
         counts = simulator.sample_shots_noisy(probs, rec["shots"], rec["seed"])
         assert rec["counts"] == histogram_dict(counts)
 
@@ -294,7 +294,7 @@ def test_vqe_fixed_params_records_trace(h3):
     assert len(result.trace) == 1
     rec = result.trace[0]
     assert rec.lambdas == lam
-    assert [r for r, _, _ in rec.series] == [1, 3, 5, 7]
+    assert [r for r, _, _ in rec.series] == [1]  # an exact run reports one point
 
 
 def test_vqe_noisy_xx_only_covers_truth():

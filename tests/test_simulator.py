@@ -32,10 +32,9 @@ def _native(n, gates):
     return NativeCircuit(n, list(gates))
 
 
-def _distribution(circ, noise, rotations=None):
-    """Outcome probabilities of one circuit, then `rotations` (none: measured in Z)."""
-    rotations = NativeCircuit(circ.n_qubits) if rotations is None else rotations
-    return noisy_distributions(circ, {"z": rotations}, noise)["z"]
+def _distribution(circ, noise, basis="z"):
+    """Outcome probabilities of one unfolded circuit measured in `basis`."""
+    return noisy_distributions(circ, [basis], noise, FoldSpec(0))[basis]
 
 
 def test_apply_empty_circuit():
@@ -140,10 +139,10 @@ def test_ideal_distributions_match_zero_noise_density():
     # each setting's distribution is the diagonal of the noise-free channel run
     # of the circuit followed by that setting's rotations
     circ = _native(3, [Gate("ry", (0,), 0.8), Gate("xx", (0, 1), 0.5), Gate("xx", (1, 2), -0.3)])
-    rotations = {b: basis_rotation_circuit(b, 3) for b in ("z", "x", "y")}
-    probs = ideal_distributions(circ, rotations)
-    assert list(probs) == list(rotations)
-    for basis, rot in rotations.items():
+    probs = ideal_distributions(circ, ("z", "x", "y"))
+    assert list(probs) == ["z", "x", "y"]
+    for basis in probs:
+        rot = basis_rotation_circuit(basis, 3)
         rho = run_density(_native(3, circ.gates + rot.gates), NoiseModel(0.0, 0.0))
         assert np.allclose(probs[basis], np.diagonal(rho).real, atol=1e-12)
         assert math.isclose(probs[basis].sum(), 1.0, abs_tol=1e-12)
@@ -251,7 +250,7 @@ def test_sample_shots_noisy_binomial_bound():
 def test_sample_shots_noisy_basis_rotation():
     # |+> measured in the x basis is deterministic
     plus = _native(1, [Gate("ry", (0,), math.pi / 2)])
-    probs = _distribution(plus, NoiseModel(0, 0, ()), basis_rotation_circuit("x", 1))
+    probs = _distribution(plus, NoiseModel(0, 0, ()), "x")
     counts = sample_shots_noisy(probs, 200, seed=0)
     assert histogram_dict(counts) == {"0": 200}
 
@@ -265,7 +264,7 @@ def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
     noise = NoiseModel.ion_defaults(n)
     joined = NativeCircuit(n, circ.gates + rotations.gates)
     expected = sample_shots_noisy(_distribution(joined, noise), 1000, seed)
-    assert np.array_equal(sample_shots_noisy(_distribution(circ, noise, rotations), 1000, seed),
+    assert np.array_equal(sample_shots_noisy(_distribution(circ, noise, basis), 1000, seed),
                           expected)
 
 
@@ -275,16 +274,16 @@ def test_sampler_walks_circuit_then_rotations(circ, basis, seed):
 def test_noisy_distributions_match_channel_oracle(circ, m, p1, p2, eps):
     # each setting's distribution is the diagonal of the independent channel
     # oracle on the joined circuit, folded circuit then folded rotations,
-    # pushed through the full readout matrix
+    # pushed through the full readout matrix; the simulator does the folding
     n = circ.n_qubits
     spec = FoldSpec(m)
     noise = NoiseModel.ion_defaults(n, p1, p2, eps)
+    probs = noisy_distributions(circ, BASIS_LABELS, noise, spec)
+    assert list(probs) == list(BASIS_LABELS)
     folded = fold_circuit(circ, spec)
-    rotations = {b: fold_circuit(basis_rotation_circuit(b, n), spec) for b in BASIS_LABELS}
-    probs = noisy_distributions(folded, rotations, noise)
-    assert list(probs) == list(rotations)
     readout = reduce(np.kron, noise.readout)
-    for basis, rot in rotations.items():
+    for basis in BASIS_LABELS:
+        rot = fold_circuit(basis_rotation_circuit(basis, n), spec)
         rho = evolve_density(NativeCircuit(n, folded.gates + rot.gates), p1, p2)
         assert np.abs(probs[basis] - readout.T @ np.diagonal(rho).real).max() <= 1e-12
 
@@ -303,18 +302,33 @@ def test_sample_shots_noisy_draws_and_does_not_simulate(monkeypatch):
     assert np.array_equal(sample_shots_noisy(probs, 300, seed=7), expected)
 
 
-def test_sample_rejects_rotations_outside_the_circuit():
+@settings(max_examples=20)
+@given(native_circuits(max_qubits=3, max_gates=8))
+def test_noise_free_distributions_match_ideal_at_every_fold(circ):
+    # with no noise and no readout, folding leaves the unitary and so every
+    # basis's distribution unchanged
+    ideal = ideal_distributions(circ, BASIS_LABELS)
+    assert list(ideal) == list(BASIS_LABELS)
+    for m in range(3):
+        noisy = noisy_distributions(circ, BASIS_LABELS, NoiseModel(0, 0, ()), FoldSpec(m))
+        assert list(noisy) == list(BASIS_LABELS)
+        for basis in BASIS_LABELS:
+            assert np.abs(noisy[basis] - ideal[basis]).max() <= 1e-12
+
+
+def test_distributions_reject_unknown_basis():
     circ = _native(2, [Gate("ry", (0,), 1.0)])
-    wide = _native(3, [Gate("ry", (2,), math.pi / 2)])
-    with pytest.raises(ConfigError):
-        noisy_distributions(circ, {"z": wide}, NoiseModel(0, 0, ()))
+    with pytest.raises(ValueError, match="unknown basis 'w'"):
+        noisy_distributions(circ, ["z", "w"], NoiseModel(0, 0, ()), FoldSpec(0))
+    with pytest.raises(ValueError, match="unknown basis 'w'"):
+        ideal_distributions(circ, ["z", "w"])
 
 
 def test_sample_rejects_wrong_readout_count():
     # one matrix for three qubits would leave qubits 1 and 2 unconfused
     circ = _native(3, [Gate("rx", (q,), math.pi) for q in range(3)])
-    with pytest.raises(ValueError, match="3 readout matrices"):
-        noisy_distributions(circ, {}, NoiseModel(0, 0, (flip_matrix(1.0),)))
+    with pytest.raises(ConfigError, match="3 readout matrices"):
+        noisy_distributions(circ, [], NoiseModel(0, 0, (flip_matrix(1.0),)), FoldSpec(0))
 
 
 def test_sample_shots_noisy_deterministic():
